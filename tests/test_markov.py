@@ -70,6 +70,20 @@ class TestFailureProbability:
     def test_zero_budget(self):
         assert failure_probability(chain_for(2, 2), 0) == 1.0
 
+    @pytest.mark.parametrize(
+        "n_b,n_p,mode,f,budget,eps",
+        [
+            (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043426),
+            (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879658),
+            (4, 5, RestartMode.FULL, 0.95, 300, 0.0064655584875311645),
+            (4, 5, RestartMode.LEVEL, 0.90, 57, 0.1083670159152621),
+            (0, 4, RestartMode.FULL, 0.90, 57, 2.2838306801276076e-09),
+            (0, 4, RestartMode.LEVEL, 0.95, 300, 1.1102230246251565e-16),
+        ],
+    )
+    def test_pinned_values(self, n_b, n_p, mode, f, budget, eps):
+        assert failure_probability(chain_for(n_b, n_p, mode, f=f), budget) == eps
+
     def test_vanishes_for_large_budget(self):
         chain = chain_for(2, 2)
         assert failure_probability(chain, 2000) < 1e-12

@@ -11,6 +11,7 @@ from rnp import (
     monte_carlo_pumping,
     run_two_level,
 )
+from rnp.oracle import MonteCarloResult
 from rnp.backend import available_backends, get_backend
 
 # Random123 known-answer vector: philox4x32-10 with all-zero counter and key
@@ -122,6 +123,31 @@ class TestMonteCarlo:
         assert a == b
         c = monte_carlo_pumping(trace, RestartMode.FULL, 20, 5000, seed=43)
         assert c.mean_pairs != a.mean_pairs
+
+    @pytest.mark.parametrize(
+        "n_b,n_p,mode,fail_fraction,mean_pairs,fail_std_err,pairs_std_err",
+        [
+            (2, 2, RestartMode.FULL, 0.084, 12.1525, 0.0062025801083097675, 0.12294990937413314),
+            (2, 2, RestartMode.LEVEL, 0.0005, 10.248, 0.0004998749843710925, 0.04391141202527),
+            (0, 4, RestartMode.FULL, 0.0005, 5.6135, 0.0004998749843710925, 0.036355463617831),
+            (0, 4, RestartMode.LEVEL, 0.0, 5.181, 0.0, 0.009780967930978683),
+        ],
+    )
+    def test_pinned_philox_streams(
+        self, n_b, n_p, mode, fail_fraction, mean_pairs, fail_std_err, pairs_std_err
+    ):
+        # Exact values of the seeded Philox streams; any change to the draw
+        # order or the counter layout moves them.
+        res = monte_carlo_pumping(trace_for(n_b, n_p), mode, budget=20, trials=2000, seed=5)
+        assert res == MonteCarloResult(
+            fail_fraction=fail_fraction,
+            mean_pairs=mean_pairs,
+            fail_std_err=fail_std_err,
+            pairs_std_err=pairs_std_err,
+            trials=2000,
+            seed=5,
+            budget=20,
+        )
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (0, 4)])
