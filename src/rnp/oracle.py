@@ -254,8 +254,8 @@ def monte_carlo_pumping(
     """Simulate raw-pair consumption trial by trial.
 
     Uses Philox4x32-10 counter-based streams keyed by (seed, trial, draw),
-    so results are bit-reproducible and independent of execution order or
-    backend.  Each trial runs to absorption; the budget only classifies it
+    so results are bit-reproducible and independent of execution order.
+    Each trial runs to absorption; the budget only classifies it
     as failed (consumed > budget).
     """
     if trials < 1:

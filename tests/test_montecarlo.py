@@ -11,8 +11,8 @@ from rnp import (
     monte_carlo_pumping,
     run_two_level,
 )
+from rnp import backend
 from rnp.oracle import MonteCarloResult
-from rnp.backend import available_backends, get_backend
 
 # Random123 known-answer vector: philox4x32-10 with all-zero counter and key
 # produces (0x6627e8d5, 0xe169c58d, ...); our uniform is built from the
@@ -21,7 +21,7 @@ KAT_ZERO_UNIFORM = (((0xE169C58D << 32) | 0x6627E8D5) >> 11) * 2.0**-53
 
 
 def philox_reference(ctr, key, rounds=10):
-    """Scalar Philox4x32 reference, independent of both backends."""
+    """Scalar Philox4x32 reference, independent of the NumPy kernel."""
     m0, m1 = 0xD2511F53, 0xCD9E8D57
     c0, c1, c2, c3 = ctr
     k0, k1 = key
@@ -57,55 +57,23 @@ class TestPhilox:
             (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0)
         ) == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_backends_match_reference(self, name):
-        kernels = get_backend(name)
-        u = kernels.philox_uniforms(0, np.array([0], dtype=np.uint32), np.array([0], dtype=np.uint32))
+    def test_backends_match_reference(self):
+        u = backend.philox_uniforms(0, np.array([0], dtype=np.uint32), np.array([0], dtype=np.uint32))
         assert u[0] == KAT_ZERO_UNIFORM
         # a couple of nonzero streams against the scalar reference
         for seed, trial, draw in [(7, 3, 11), (2**40 + 5, 1000, 0)]:
             x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
             expect = (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
-            got = kernels.philox_uniforms(
+            got = backend.philox_uniforms(
                 seed, np.array([trial], dtype=np.uint32), np.array([draw], dtype=np.uint32)
             )[0]
             assert got == expect
 
     def test_uniforms_in_unit_interval(self):
-        from rnp import backend
-
         t = np.arange(2000, dtype=np.uint32)
         u = backend.philox_uniforms(123, t, t)
         assert (u >= 0.0).all() and (u < 1.0).all()
         assert 0.45 < u.mean() < 0.55
-
-
-@pytest.mark.skipif(len(available_backends()) < 2, reason="compiled backend not built")
-class TestBackendEquivalence:
-    def test_mc_bit_identical(self):
-        py, cy = get_backend("python"), get_backend("compiled")
-        cases = [
-            (np.array([0.93, 0.96]), np.array([0.85, 0.9, 0.92])),
-            (np.array([]), np.array([0.9, 0.905])),  # one-level pumping
-            (np.array([0.8]), np.array([])),  # no phase level
-        ]
-        for bs, ps in cases:
-            for full in (True, False):
-                a = np.asarray(py.mc_consumed_pairs(bs, ps, full, 4000, 99))
-                b = np.asarray(cy.mc_consumed_pairs(bs, ps, full, 4000, 99))
-                assert (a == b).all()
-
-    def test_chain_bit_identical(self):
-        py, cy = get_backend("python"), get_backend("compiled")
-        src = np.array([0, 0, 1, 1, 2], dtype=np.int64)
-        dst = np.array([1, 0, 2, 0, 2], dtype=np.int64)
-        p = np.array([0.9, 0.1, 0.8, 0.2, 1.0])
-        a = py.chain_evolve(src, dst, p, 3, 0, 57)
-        b = cy.chain_evolve(src, dst, p, 3, 0, 57)
-        assert (np.asarray(a) == np.asarray(b)).all()
-        assert py.chain_scan(src, dst, p, 3, 0, 2, 1e-9, 10**5) == tuple(
-            cy.chain_scan(src, dst, p, 3, 0, 2, 1e-9, 10**5)
-        )
 
 
 class TestMonteCarlo:
