@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,16 +122,6 @@ def _restart_mode(text: str) -> RestartMode:
         raise argparse.ArgumentTypeError(f"--restart-mode must be 'full' or 'level', got {text!r}")
 
 
-def _threads() -> int:
-    env = os.environ.get("RNP_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _cmd_measure(args) -> int:
     params = ErrorParams(p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=0.95)
     timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local) if args.p_m > 0 and args.p_m < 1 else None
@@ -230,8 +218,7 @@ def _cmd_sweep(args) -> int:
     f_grid = np.linspace(args.f_min, args.f_max, args.f_points)
     timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
 
-    def row(point):
-        p_l, f = point
+    def row(p_l, f):
         params = ErrorParams(
             p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise
         )
@@ -243,9 +230,7 @@ def _cmd_sweep(args) -> int:
             f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
         )
 
-    points = [(p_l, f) for p_l in p_l_grid for f in f_grid]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(row, points))
+    rows = [row(p_l, f) for p_l in p_l_grid for f in f_grid]
 
     header = "p_L,F,noise,n_b,n_p,delta_min,eps_fail,eps_E,n_tot_budget,expected_pairs,t_C_s,gamma"
     text = "\n".join([header, *rows]) + "\n"
