@@ -246,10 +246,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _verify_oracle_grid(report, gate_noise=None) -> bool:
-    from .noise import GATE_NOISE
-
-    gate_noise = gate_noise or GATE_NOISE
+def _verify_oracle_grid(report) -> bool:
     ok = True
     for f in (0.8, 0.9, 0.95):
         for p_l in (0.0, 1e-3):
@@ -257,8 +254,8 @@ def _verify_oracle_grid(report, gate_noise=None) -> bool:
                 for kind in (StepKind.BIT, StepKind.PHASE):
                     params = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f)
                     state = raw_pair(params)
-                    rec = pump_step(state, state, kind, p_l, eps_m, gate_noise)
-                    succ, out = simulate_pump_step(state, state, kind, p_l, eps_m, gate_noise)
+                    rec = pump_step(state, state, kind, p_l, eps_m)
+                    succ, out = simulate_pump_step(state, state, kind, p_l, eps_m)
                     dev = abs(succ - rec.success_prob)
                     dev = max(
                         dev,

@@ -29,7 +29,6 @@ from .model import (
     RestartMode,
     ValidationError,
 )
-from .noise import GATE_NOISE, GateNoise
 from .pumping import PumpTrace, StepKind, run_two_level
 
 __all__ = [
@@ -238,7 +237,6 @@ def optimize_schedule(
     params: ErrorParams,
     meas_flip: float,
     bound: int = 15,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> tuple[PumpSchedule, float]:
     """Exhaustively minimize the pumped infidelity over (n_b, n_p).
 
@@ -254,7 +252,7 @@ def optimize_schedule(
     for n_b in n_b_range:
         for n_p in range(bound + 1):
             sched = PumpSchedule(n_b=n_b, n_p=n_p)
-            infid = run_two_level(sched, params, meas_flip, gate_noise).infidelity
+            infid = run_two_level(sched, params, meas_flip).infidelity
             key = (infid, n_b + n_p, n_p)
             if best is None or key < best:
                 best = key
@@ -269,7 +267,6 @@ def plan(
     meas: MeasurementPlan | None = None,
     bound: int = 15,
     restart_mode: RestartMode = RestartMode.FULL,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> PlanResult:
     """Compose the full plan for one parameter point.
 
@@ -283,8 +280,8 @@ def plan(
     if meas.duration_s is None:
         raise ValidationError("plan requires a MeasurementPlan with a duration")
 
-    schedule, delta_min = optimize_schedule(params, meas.error_prob, bound, gate_noise)
-    trace = run_two_level(schedule, params, meas.error_prob, gate_noise)
+    schedule, delta_min = optimize_schedule(params, meas.error_prob, bound)
+    trace = run_two_level(schedule, params, meas.error_prob)
     chain = build_chain(trace, restart_mode)
     stats = analyze_chain(chain, solve_budget(chain, delta_min))
     eps_fail, expected, budget = stats.eps_fail, stats.expected_pairs, stats.budget

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import backend
 from .model import BellDiagonalState, RestartMode, StepKind, ValidationError
-from .noise import GATE_NOISE, GateNoise
 from .pumping import PumpTrace
 
 __all__ = [
@@ -162,15 +161,15 @@ def simulate_pump_step(
     kind: StepKind,
     p_local: float,
     meas_flip: float,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> tuple[float, BellDiagonalState]:
     """Full density-matrix simulation of one pumping step.
 
     Qubit layout: 0 and 1 hold the keeper pair (registers A and B), 2 and 3
     the fresh pair.  Register A performs CNOT on (0, 2), register B on
     (1, 3); bit steps have the keeper controlling, phase steps the fresh
-    pair.  Each CNOT carries the shared two-qubit depolarizing convention,
-    and the compared outcomes each flip with probability ``meas_flip``.
+    pair.  Each CNOT is followed by two-qubit depolarizing noise of weight
+    ``p_local``, and the compared outcomes each flip with probability
+    ``meas_flip``.
 
     Raises if the post-selected keeper is not Bell-diagonal, which would
     signal a circuit-convention bug.
@@ -185,14 +184,9 @@ def simulate_pump_step(
     else:
         gates = [((0, 2), _cnot_op(2, 0)), ((1, 3), _cnot_op(3, 1))]
 
-    weight = gate_noise.weight_factor * p_local
     for qubits, gate in gates:
-        if gate_noise.placement == "before":
-            rho = _apply_depolarizing(rho, qubits, weight)
-            rho = gate @ rho @ gate.conj().T
-        else:
-            rho = gate @ rho @ gate.conj().T
-            rho = _apply_depolarizing(rho, qubits, weight)
+        rho = gate @ rho @ gate.conj().T
+        rho = _apply_depolarizing(rho, qubits, p_local)
     DensityMatrix(rho)
 
     comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)

@@ -13,8 +13,12 @@ exact stochastic map on the 16 flag configurations:
               flags map (x1, z1, x2, z2) -> (x1^x2, z1, x2, z2^z1),
               accept when the measured parity z2^z1 reads 0.
 
-Gate noise is a 16-point XOR convolution per register (see noise.py) and a
-voted-readout error flips each of the two compared outcomes independently,
+Gate noise: with probability p_local each register's CNOT is followed by
+a uniformly random non-identity two-qubit Pauli on its qubit pair.  That
+mixture is invariant under Clifford conjugation, so noise before or after
+the gate gives the same map; in flag space it is a 16-point XOR
+convolution per register.  A voted-readout error flips each of the two
+compared outcomes independently,
 so the comparison itself flips with probability 2*eps*(1-eps).  The maps
 here are the closed-form transcription of exactly what the density-matrix
 oracle computes; the oracle is the arbiter (they agree to 1e-10).
@@ -35,7 +39,6 @@ from .model import (
     UnpurifiableError,
     ValidationError,
 )
-from .noise import GATE_NOISE, GateNoise
 
 __all__ = [
     "StepRecord",
@@ -133,13 +136,12 @@ def pump_step(
     kind: StepKind,
     p_local: float,
     meas_flip: float,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> StepRecord:
     """Post-selected map of one pumping step.
 
     ``meas_flip`` is the voted-readout error of each of the two compared
-    measurements (one per register); ``p_local`` the per-step local-gate
-    error budget, shaped by ``gate_noise``.
+    measurements (one per register); ``p_local`` the depolarizing weight of
+    each register's CNOT.
     """
     if not isinstance(kind, StepKind):
         raise ValidationError(f"kind must be a StepKind, got {kind!r}")
@@ -150,18 +152,10 @@ def pump_step(
     r = np.array(fresh.as_tuple())
     dist = np.outer(q, r).reshape(16)  # J = 4*f1 + f2
 
-    noise = _noise_matrix(gate_noise.weight_factor * p_local)
-    perm = _PERM[kind]
-    if gate_noise.placement == "before":
-        dist = noise @ dist  # register A's gate
-        dist = noise @ dist  # register B's gate
-        permuted = np.zeros(16)
-        permuted[perm] = dist
-        dist = permuted
-    else:
-        permuted = np.zeros(16)
-        permuted[perm] = dist
-        dist = noise @ (noise @ permuted)
+    noise = _noise_matrix(p_local)
+    permuted = np.zeros(16)
+    permuted[_PERM[kind]] = dist
+    dist = noise @ (noise @ permuted)
 
     comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
     accept_w = np.where(_PARITY[kind] == 0, 1.0 - comp_flip, comp_flip)
@@ -182,7 +176,6 @@ def run_two_level(
     schedule: PumpSchedule,
     params: ErrorParams,
     meas_flip: float,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> PumpTrace:
     """Deterministic trace of two-level pumping.
 
@@ -195,13 +188,13 @@ def run_two_level(
 
     keeper = base
     for _ in range(schedule.n_b):
-        rec = pump_step(keeper, base, StepKind.BIT, params.p_local, meas_flip, gate_noise)
+        rec = pump_step(keeper, base, StepKind.BIT, params.p_local, meas_flip)
         steps.append(rec)
         keeper = rec.state_after_success
 
     bit_purified = keeper
     for _ in range(schedule.n_p):
-        rec = pump_step(keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip, gate_noise)
+        rec = pump_step(keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip)
         steps.append(rec)
         keeper = rec.state_after_success
 
@@ -217,7 +210,6 @@ def run_standard(
     total_steps: int,
     params: ErrorParams,
     meas_flip: float,
-    gate_noise: GateNoise = GATE_NOISE,
 ) -> PumpTrace:
     """Alternating bit/phase pumping fed with raw pairs throughout.
 
@@ -233,7 +225,7 @@ def run_standard(
     n_b = n_p = 0
     for i in range(total_steps):
         kind = StepKind.BIT if i % 2 == 0 else StepKind.PHASE
-        rec = pump_step(keeper, base, kind, params.p_local, meas_flip, gate_noise)
+        rec = pump_step(keeper, base, kind, params.p_local, meas_flip)
         steps.append(rec)
         keeper = rec.state_after_success
         if kind is StepKind.BIT:

@@ -150,10 +150,8 @@ class TestVerify:
 
         real = cli_mod.pump_step
 
-        def tampered(target, fresh, kind, p_l, eps_m, gate_noise=None):
-            rec = real(target, fresh, kind, p_l, eps_m) if gate_noise is None else real(
-                target, fresh, kind, p_l, eps_m, gate_noise
-            )
+        def tampered(target, fresh, kind, p_l, eps_m):
+            rec = real(target, fresh, kind, p_l, eps_m)
             skewed = [c + 0.001 for c in rec.state_after_success.as_tuple()]
             total = sum(skewed)
             return type(rec)(
