@@ -1,7 +1,7 @@
 """NumPy kernels for the hot loops.
 
 Three primitives: counter-based uniforms, Monte-Carlo pumping trials and
-absorbing-chain evolution.  The uniforms are Philox4x32-10 streams keyed
+the absorbing-chain scan.  The uniforms are Philox4x32-10 streams keyed
 by (seed, trial, draw), so Monte-Carlo results do not depend on the order
 in which trials are processed.
 """
@@ -134,24 +134,6 @@ def mc_consumed_pairs(
             keep = ~finished
             live, ids, b, r, draws = live[keep], ids[keep], b[keep], r[keep], draws[keep]
     return consumed
-
-
-def chain_evolve(
-    trans_src: np.ndarray,
-    trans_dst: np.ndarray,
-    trans_p: np.ndarray,
-    n_states: int,
-    start: int,
-    steps: int,
-) -> np.ndarray:
-    """Distribution after ``steps`` chain transitions from ``start``."""
-    dist = np.zeros(n_states, dtype=np.float64)
-    dist[start] = 1.0
-    for _ in range(steps):
-        nxt = np.zeros(n_states, dtype=np.float64)
-        np.add.at(nxt, trans_dst, trans_p * dist[trans_src])
-        dist = nxt
-    return dist
 
 
 def chain_scan(

@@ -193,10 +193,18 @@ def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
-    dist = backend.chain_evolve(
-        chain.trans_src, chain.trans_dst, chain.trans_p, chain.n_states, chain.start, int(budget)
+    # An unreachable target makes the scan evolve exactly ``budget`` steps.
+    _, eps = backend.chain_scan(
+        chain.trans_src,
+        chain.trans_dst,
+        chain.trans_p,
+        chain.n_states,
+        chain.start,
+        chain.done,
+        -1.0,
+        int(budget),
     )
-    return float(min(max(1.0 - dist[chain.done], 0.0), 1.0))
+    return float(min(max(eps, 0.0), 1.0))
 
 
 def expected_pairs(chain: MarkovChain) -> float:
