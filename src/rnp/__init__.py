@@ -18,7 +18,6 @@ from .model import (
     StepKind,
     UnpurifiableError,
     ValidationError,
-    validate,
 )
 from .measurement import exact_vote_error, measurement_error, measurement_time, optimal_m
 from .timing import build_timings, entanglement_time, memory_check, optical_times
@@ -33,8 +32,6 @@ from .pumping import (
 )
 from .markov import (
     MarkovChain,
-    MarkovResult,
-    analyze_chain,
     build_chain,
     expected_pairs,
     failure_probability,
@@ -52,7 +49,6 @@ __all__ = [
     "DensityMatrix",
     "ErrorParams",
     "MarkovChain",
-    "MarkovResult",
     "MeasurementPlan",
     "MonteCarloResult",
     "NoiseKind",
@@ -65,7 +61,6 @@ __all__ = [
     "StepRecord",
     "UnpurifiableError",
     "ValidationError",
-    "analyze_chain",
     "build_chain",
     "build_timings",
     "closed_form_infidelity",
@@ -87,6 +82,5 @@ __all__ = [
     "run_two_level",
     "simulate_pump_step",
     "solve_budget",
-    "validate",
     "__version__",
 ]

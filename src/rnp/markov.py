@@ -33,8 +33,6 @@ from .pumping import PumpTrace, StepKind, run_two_level
 
 __all__ = [
     "MarkovChain",
-    "MarkovResult",
-    "analyze_chain",
     "build_chain",
     "failure_probability",
     "expected_pairs",
@@ -88,24 +86,6 @@ class MarkovChain:
         t = np.zeros((self.n_states, self.n_states))
         np.add.at(t, (self.trans_src, self.trans_dst), self.trans_p)
         return t
-
-
-@dataclass(frozen=True)
-class MarkovResult:
-    """Failure probability at a budget plus the expected consumption."""
-
-    eps_fail: float
-    expected_pairs: float
-    budget: int
-
-
-def analyze_chain(chain: MarkovChain, budget: int) -> MarkovResult:
-    """Bundle the chain's failure probability at ``budget`` with its mean."""
-    return MarkovResult(
-        eps_fail=failure_probability(chain, budget),
-        expected_pairs=expected_pairs(chain),
-        budget=int(budget),
-    )
 
 
 def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
@@ -291,8 +271,9 @@ def plan(
     schedule, delta_min = optimize_schedule(params, meas.error_prob, bound)
     trace = run_two_level(schedule, params, meas.error_prob)
     chain = build_chain(trace, restart_mode)
-    stats = analyze_chain(chain, solve_budget(chain, delta_min))
-    eps_fail, expected, budget = stats.eps_fail, stats.expected_pairs, stats.budget
+    budget = solve_budget(chain, delta_min)
+    eps_fail = failure_probability(chain, budget)
+    expected = expected_pairs(chain)
 
     eps_e = eps_fail + delta_min
     t_meas = meas.duration_s

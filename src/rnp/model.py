@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "ValidationError",
@@ -18,7 +18,6 @@ __all__ = [
     "RestartMode",
     "StepKind",
     "ErrorParams",
-    "validate",
     "BellDiagonalState",
     "PumpSchedule",
     "MeasurementPlan",
@@ -116,15 +115,6 @@ class ErrorParams:
             )
         if not isinstance(self.noise, NoiseKind):
             raise ValidationError(f"noise must be a NoiseKind, got {self.noise!r}")
-
-
-def validate(params: ErrorParams) -> ErrorParams:
-    """Return a validated, normalized copy of ``params``.
-
-    Construction already validates; this re-runs the checks so callers can
-    sanitize values of unknown provenance.
-    """
-    return replace(params)
 
 
 @dataclass(frozen=True)

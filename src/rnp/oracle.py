@@ -233,10 +233,6 @@ class MonteCarloResult:
     seed: int
     budget: int
 
-    @property
-    def std_err(self) -> float:
-        return self.fail_std_err
-
 
 def monte_carlo_pumping(
     trace: PumpTrace,

@@ -134,18 +134,6 @@ class TestExpectedPairs:
             assert total == pytest.approx(expect, abs=1e-6)
 
 
-def test_analyze_chain_bundle():
-    from rnp import analyze_chain
-
-    chain = chain_for(2, 2)
-    budget = solve_budget(chain, 1e-3)
-    res = analyze_chain(chain, budget)
-    assert res.budget == budget
-    assert res.eps_fail == failure_probability(chain, budget) <= 1e-3
-    assert res.expected_pairs == pytest.approx(expected_pairs(chain))
-    assert res.expected_pairs >= chain.min_pairs
-
-
 class TestSolveBudget:
     def test_all_success(self):
         chain = all_success_chain(2, 3)
@@ -227,3 +215,12 @@ class TestPlan:
         assert level.expected_pairs < full.expected_pairs
         assert level.n_tot_budget < full.n_tot_budget
         assert level.delta_min == full.delta_min
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    def test_chain_figures_match_plan(self, mode):
+        p = params(0.95, p_l=1e-6)
+        meas = optimal_m(p, timings=self.TIMINGS)
+        r = plan(p, self.TIMINGS, meas, restart_mode=mode)
+        chain = build_chain(run_two_level(r.schedule, p, meas.error_prob), mode)
+        assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
+        assert r.expected_pairs == expected_pairs(chain)
