@@ -3,6 +3,7 @@ import pytest
 
 from rnp import (
     ErrorParams,
+    MonteCarloResult,
     PumpSchedule,
     RestartMode,
     build_chain,
@@ -12,7 +13,6 @@ from rnp import (
     run_two_level,
 )
 from rnp import backend
-from rnp.oracle import MonteCarloResult
 
 # Random123 known-answer vector: philox4x32-10 with all-zero counter and key
 # produces (0x6627e8d5, 0xe169c58d, ...); our uniform is built from the
