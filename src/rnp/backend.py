@@ -156,9 +156,7 @@ def chain_scan(
     if eps <= target:
         return 0, eps
     for step in range(1, cap + 1):
-        nxt = np.zeros(n_states, dtype=np.float64)
-        np.add.at(nxt, trans_dst, trans_p * dist[trans_src])
-        dist = nxt
+        dist = np.bincount(trans_dst, weights=trans_p * dist[trans_src], minlength=n_states)
         eps = 1.0 - dist[done]
         if eps <= target:
             return step, eps

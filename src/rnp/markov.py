@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import backend, pumping
 from .measurement import optimal_m
 from .model import (
     BudgetCapError,
@@ -169,6 +169,10 @@ def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
     )
 
 
+def _clamp_probability(eps: float) -> float:
+    return float(min(max(eps, 0.0), 1.0))
+
+
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
     if budget < 0:
@@ -184,7 +188,7 @@ def failure_probability(chain: MarkovChain, budget: int) -> float:
         -1.0,
         int(budget),
     )
-    return float(min(max(eps, 0.0), 1.0))
+    return _clamp_probability(eps)
 
 
 def expected_pairs(chain: MarkovChain) -> float:
@@ -200,11 +204,12 @@ def expected_pairs(chain: MarkovChain) -> float:
     return float(t[chain.start])
 
 
-def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) -> int:
-    """Smallest budget whose failure probability is at most ``delta_min``."""
+def _scan_budget(chain: MarkovChain, delta_min: float, cap: int) -> tuple[int, float]:
+    """Smallest budget with failure probability at most ``delta_min``, and that
+    budget's unclamped failure mass, from one scan of the chain."""
     if not (0.0 <= delta_min < 1.0) or not math.isfinite(delta_min):
         raise ValidationError(f"delta_min must lie in [0, 1), got {delta_min!r}")
-    budget, _eps = backend.chain_scan(
+    budget, eps = backend.chain_scan(
         chain.trans_src,
         chain.trans_dst,
         chain.trans_p,
@@ -218,7 +223,12 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
         raise BudgetCapError(
             f"no budget up to {cap} reaches failure probability {delta_min!r}"
         )
-    return int(budget)
+    return int(budget), eps
+
+
+def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) -> int:
+    """Smallest budget whose failure probability is at most ``delta_min``."""
+    return _scan_budget(chain, delta_min, cap)[0]
 
 
 def optimize_schedule(
@@ -235,13 +245,26 @@ def optimize_schedule(
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
     n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
+    # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
+    # bit-purified pair of n_b is that of n_b - 1 plus one bit step, so the
+    # search extends one trace per n_b by one step per schedule.
+    base = pumping.raw_pair(params)
+    bit_purified = base
     best: tuple[float, int, int] | None = None
     best_sched: PumpSchedule | None = None
     for n_b in n_b_range:
+        if n_b > 0:
+            bit_purified = pumping.pump_step(
+                bit_purified, base, StepKind.BIT, params.p_local, meas_flip
+            ).state_after_success
+        keeper = bit_purified
         for n_p in range(bound + 1):
             sched = PumpSchedule(n_b=n_b, n_p=n_p)
-            infid = run_two_level(sched, params, meas_flip).infidelity
-            key = (infid, n_b + n_p, n_p)
+            if n_p > 0:
+                keeper = pumping.pump_step(
+                    keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip
+                ).state_after_success
+            key = (keeper.infidelity, n_b + n_p, n_p)
             if best is None or key < best:
                 best = key
                 best_sched = sched
@@ -271,8 +294,8 @@ def plan(
     schedule, delta_min = optimize_schedule(params, meas.error_prob, bound)
     trace = run_two_level(schedule, params, meas.error_prob)
     chain = build_chain(trace, restart_mode)
-    budget = solve_budget(chain, delta_min)
-    eps_fail = failure_probability(chain, budget)
+    budget, eps = _scan_budget(chain, delta_min, BUDGET_CAP)
+    eps_fail = _clamp_probability(eps)
     expected = expected_pairs(chain)
 
     eps_e = eps_fail + delta_min

@@ -81,13 +81,12 @@ def _noise_matrix(weight: float) -> np.ndarray:
     """XOR-convolution matrix of one register's two-qubit depolarizing hit.
 
     The 16 two-qubit Pauli patterns map one-to-one onto flag-flip masks;
-    identity keeps 1-weight, the 15 others share weight/15 each.
+    identity keeps 1-weight, the 15 others share weight/15 each.  Every
+    flag j reaches each j^d exactly once, so the matrix is weight/15 off
+    the diagonal and 1-weight on it.
     """
-    mat = np.zeros((16, 16))
-    for j in range(16):
-        for d in range(16):
-            p = 1.0 - weight if d == 0 else weight / 15.0
-            mat[j ^ d, j] += p
+    mat = np.full((16, 16), weight / 15.0)
+    np.fill_diagonal(mat, 1.0 - weight)
     return mat
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnp import (
     BudgetCapError,
@@ -15,6 +17,7 @@ from rnp import (
     run_two_level,
     solve_budget,
 )
+from rnp import backend, pumping
 from rnp.markov import MarkovChain
 from rnp.measurement import optimal_m
 from rnp.timing import build_timings
@@ -156,6 +159,19 @@ class TestSolveBudget:
             solve_budget(chain, 1e-9, cap=10)
 
 
+def per_schedule_search(p, meas_flip, bound):
+    """Reference search: one full two-level trace per schedule."""
+    n_b_range = [0] if p.noise is NoiseKind.DEPHASING else range(bound + 1)
+    best = None
+    for n_b in n_b_range:
+        for n_p in range(bound + 1):
+            sched = PumpSchedule(n_b=n_b, n_p=n_p)
+            key = (run_two_level(sched, p, meas_flip).infidelity, n_b + n_p, n_p)
+            if best is None or key < best[0]:
+                best = (key, sched)
+    return best[1], best[0][0]
+
+
 class TestOptimizeSchedule:
     def test_perfect_inputs_need_no_pumping(self):
         sched, delta = optimize_schedule(params(1.0, p_l=0.0), 0.0, bound=6)
@@ -177,6 +193,39 @@ class TestOptimizeSchedule:
         sched, delta = optimize_schedule(p, 1.2e-5)
         assert sched.n_b == 0
         assert delta < 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        f=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+        p_l=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        eps_m=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_per_schedule_search(self, f, p_l, eps_m, noise, bound):
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        assert optimize_schedule(p, eps_m, bound) == per_schedule_search(p, eps_m, bound)
+
+    def test_matches_per_schedule_search_at_default_bound(self):
+        p = params(0.95, p_l=1e-6)
+        assert optimize_schedule(p, 1.2e-5, 15) == per_schedule_search(p, 1.2e-5, 15)
+
+    @pytest.mark.parametrize("noise,calls", [(NoiseKind.DEPOLARIZING, 255), (NoiseKind.DEPHASING, 15)])
+    def test_one_pump_step_per_schedule(self, monkeypatch, noise, calls):
+        # bound bit steps, then bound phase steps for each n_b; looked up
+        # through rnp.pumping, where the benchmark's tracer patches it
+        count = 0
+        real = pumping.pump_step
+
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pumping, "pump_step", counting)
+        p = ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=0.95, noise=noise)
+        optimize_schedule(p, 1.2e-5, bound=15)
+        assert count == calls
 
 
 TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
@@ -224,3 +273,21 @@ class TestPlan:
         chain = build_chain(run_two_level(r.schedule, p, meas.error_prob), mode)
         assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
         assert r.expected_pairs == expected_pairs(chain)
+
+    def test_heavy_plan_scans_chain_once(self, monkeypatch):
+        # The largest budget of the default sweep grid.
+        p = params(0.90, p_l=1e-6)
+        meas = optimal_m(p, timings=self.TIMINGS)
+        scans = []
+        real = backend.chain_scan
+
+        def counting(*args):
+            scans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(backend, "chain_scan", counting)
+        r = plan(p, self.TIMINGS, meas, restart_mode=RestartMode.FULL)
+        assert len(scans) == 1
+        assert r.n_tot_budget == 62682
+        chain = build_chain(run_two_level(r.schedule, p, meas.error_prob), RestartMode.FULL)
+        assert r.eps_fail == failure_probability(chain, r.n_tot_budget)

@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from rnp import (
     run_standard,
     run_two_level,
 )
+from rnp.pumping import _noise_matrix
 
 
 def params(f=0.95, p_l=0.0, noise=NoiseKind.DEPOLARIZING):
@@ -41,6 +43,21 @@ class TestRawPair:
     def test_unpurifiable(self):
         with pytest.raises(UnpurifiableError):
             ErrorParams(p_local=0.0, p_init=0.0, p_meas=0.0, fidelity=0.45)
+
+
+def loop_noise_matrix(weight):
+    """Reference: sum each Pauli pattern's weight into its flag-flip cell."""
+    mat = np.zeros((16, 16))
+    for j in range(16):
+        for d in range(16):
+            mat[j ^ d, j] += 1.0 - weight if d == 0 else weight / 15.0
+    return mat
+
+
+class TestNoiseMatrix:
+    @pytest.mark.parametrize("weight", [0.0, 1e-300, 1e-6, 0.3, 1.0])
+    def test_matches_loop_reference_bitwise(self, weight):
+        assert np.array_equal(_noise_matrix(weight), loop_noise_matrix(weight))
 
 
 class TestPumpStep:
