@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rnp import (
     ErrorParams,
@@ -13,6 +15,8 @@ from rnp import (
     run_two_level,
 )
 from rnp import backend
+from rnp.model import BellDiagonalState, StepKind
+from rnp.pumping import PumpTrace, StepRecord
 
 # Random123 known-answer vector: philox4x32-10 with all-zero counter and key
 # produces (0x6627e8d5, 0xe169c58d, ...); our uniform is built from the
@@ -32,6 +36,128 @@ def philox_reference(ctr, key, rounds=10):
         k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
         k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
     return c0, c1, c2, c3
+
+
+# Reference kernel: the plain NumPy Philox and the Monte-Carlo walk that
+# draws a bit uniform and a comparison uniform for every live trial at
+# every step, kept verbatim.  The package kernel must match it bit for bit.
+_M0 = np.uint64(0xD2511F53)
+_M1 = np.uint64(0xCD9E8D57)
+_BUMP0 = 0x9E3779B9
+_BUMP1 = 0xBB67AE85
+_MASK32 = 0xFFFFFFFF
+_SHIFT32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+REFERENCE_HARD_CAP = 10_000_000
+
+
+def _round_keys(seed: int) -> list[tuple[np.uint32, np.uint32]]:
+    k0 = seed & _MASK32
+    k1 = (seed >> 32) & _MASK32
+    keys = []
+    for _ in range(10):
+        keys.append((np.uint32(k0), np.uint32(k1)))
+        k0 = (k0 + _BUMP0) & _MASK32
+        k1 = (k1 + _BUMP1) & _MASK32
+    return keys
+
+
+def reference_philox_uniforms(seed: int, trial_ids: np.ndarray, draw_ids: np.ndarray) -> np.ndarray:
+    c0 = np.asarray(draw_ids, dtype=np.uint32)
+    c1 = np.asarray(trial_ids, dtype=np.uint32)
+    c2 = np.zeros_like(c0)
+    c3 = np.zeros_like(c0)
+    for k0, k1 in _round_keys(seed):
+        p0 = c0.astype(np.uint64) * _M0
+        p1 = c2.astype(np.uint64) * _M1
+        hi0 = (p0 >> _SHIFT32).astype(np.uint32)
+        lo0 = (p0 & _LOW32).astype(np.uint32)
+        hi1 = (p1 >> _SHIFT32).astype(np.uint32)
+        lo1 = (p1 & _LOW32).astype(np.uint32)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    word = (c1.astype(np.uint64) << _SHIFT32) | c0.astype(np.uint64)
+    return (word >> np.uint64(11)).astype(np.float64) * _INV53
+
+
+def reference_mc_consumed_pairs(
+    bit_succ: np.ndarray,
+    phase_succ: np.ndarray,
+    full_restart: bool,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    bit_succ = np.asarray(bit_succ, dtype=np.float64)
+    phase_succ = np.asarray(phase_succ, dtype=np.float64)
+    n_b = len(bit_succ)
+    n_p = len(phase_succ)
+
+    consumed = np.zeros(trials, dtype=np.int64)
+    live = np.arange(trials, dtype=np.int64)
+    ids = live.astype(np.uint32)
+    b = np.zeros(trials, dtype=np.int64)
+    r = np.zeros(trials, dtype=np.int64)
+    draws = np.zeros(trials, dtype=np.uint32)
+    steps = 0
+
+    while live.size:
+        steps += 1
+        if steps > REFERENCE_HARD_CAP:
+            raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
+
+        n = live.size
+        if n_b == 0:
+            build_done = np.ones(n, dtype=bool)
+            bit_fail = np.zeros(n, dtype=bool)
+        else:
+            is_base = r == 0
+            is_bit = ~is_base
+            u1 = reference_philox_uniforms(seed, ids, draws)
+            idx = np.clip(r - 1, 0, n_b - 1)
+            bit_ok = is_bit & (u1 < bit_succ[idx])
+            bit_fail = is_bit & ~bit_ok
+            draws = draws + is_bit.astype(np.uint32)
+            build_done = bit_ok & (r == n_b)
+            r = np.where(is_base, 1, np.where(bit_ok & (r < n_b), r + 1, r))
+
+        need_comp = build_done & (b >= 1)
+        if n_p:
+            u2 = reference_philox_uniforms(seed, ids, draws)
+            pidx = np.clip(b - 1, 0, n_p - 1)
+            comp_ok = need_comp & (u2 < phase_succ[pidx])
+        else:
+            comp_ok = np.zeros(n, dtype=bool)
+        comp_fail = need_comp & ~comp_ok
+        draws = draws + need_comp.astype(np.uint32)
+
+        advance = (build_done & (b == 0)) | comp_ok
+        fail = bit_fail | comp_fail
+
+        b = np.where(advance, b + 1, b)
+        r = np.where(advance | fail, 0, r)
+        if full_restart:
+            b = np.where(fail, 0, b)
+
+        finished = advance & (b > n_p)
+        if finished.any():
+            consumed[live[finished]] = steps
+            keep = ~finished
+            live, ids, b, r, draws = live[keep], ids[keep], b[keep], r[keep], draws[keep]
+    return consumed
+
+
+def scalar_uniform(seed, trial, draw):
+    x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
+    return (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
+
+
+def chain_for_probs(bit_succ, phase_succ, mode):
+    """Absorbing chain of a schedule with the given step success probabilities."""
+    s = BellDiagonalState(1.0, 0.0, 0.0, 0.0)
+    steps = [StepRecord(StepKind.BIT, s, p, s) for p in bit_succ]
+    steps += [StepRecord(StepKind.PHASE, s, p, s) for p in phase_succ]
+    sched = PumpSchedule(len(bit_succ), len(phase_succ))
+    return build_chain(PumpTrace(sched, tuple(steps), s, 0.0), mode)
 
 
 def trace_for(n_b, n_p, f=0.95, eps_m=1.2e-5):
@@ -128,3 +254,75 @@ class TestMonteCarlo:
         predicted = failure_probability(chain, budget)
         assert abs(res.fail_fraction - predicted) <= 3.0 * res.fail_std_err
         assert abs(res.mean_pairs - expect) <= 3.0 * res.pairs_std_err
+
+
+CHUNK = backend._CHUNK
+
+
+def success_probs(trace):
+    bit = np.array([s.success_prob for s in trace.steps if s.kind is StepKind.BIT])
+    phase = np.array([s.success_prob for s in trace.steps if s.kind is StepKind.PHASE])
+    return bit, phase
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bit_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
+        phase_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
+        mode=st.sampled_from(list(RestartMode)),
+        trials=st.integers(min_value=1, max_value=200),
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=2**32, max_value=2**64 - 1),
+        ),
+    )
+    def test_hypothesis_cases(self, bit_succ, phase_succ, mode, trials, seed):
+        # Keep each walk short: full restart at p = 0.6 can need ~1e6 pairs.
+        assume(expected_pairs(chain_for_probs(bit_succ, phase_succ, mode)) <= 40.0)
+        full = mode is RestartMode.FULL
+        got = backend.mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
+        want = reference_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    @pytest.mark.parametrize("n_b,n_p", [(2, 2), (4, 5), (0, 4)])
+    def test_verify_schedules(self, n_b, n_p, mode):
+        bit, phase = success_probs(trace_for(n_b, n_p))
+        full = mode is RestartMode.FULL
+        got = backend.mc_consumed_pairs(bit, phase, full, 20000, 7)
+        assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 20000, 7))
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_philox_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        for seed in (0, 2**63 + 5):
+            trials = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+            draws = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+            got = backend.philox_uniforms(seed, trials, draws)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, reference_philox_uniforms(seed, trials, draws))
+            for i in {0, n // 2, n - 1} if n else ():
+                assert got[i] == scalar_uniform(seed, int(trials[i]), int(draws[i]))
+
+
+class TestKernelWork:
+    def test_one_philox_call_per_step_and_no_unused_draws(self, monkeypatch):
+        calls = []
+        real = backend.philox_uniforms
+
+        def counting(seed, trial_ids, draw_ids):
+            calls.append(len(trial_ids))
+            return real(seed, trial_ids, draw_ids)
+
+        monkeypatch.setattr(backend, "philox_uniforms", counting)
+        bit, phase = success_probs(trace_for(4, 5))
+        consumed = backend.mc_consumed_pairs(bit, phase, True, 20000, 7)
+        assert len(calls) <= consumed.max()
+        assert sum(calls) <= consumed.sum()
+
+    def test_hard_cap(self, monkeypatch):
+        monkeypatch.setattr(backend, "HARD_CAP", 3)
+        bit, phase = success_probs(trace_for(2, 2))
+        with pytest.raises(RuntimeError, match="Monte-Carlo per-trial raw-pair cap exceeded"):
+            backend.mc_consumed_pairs(bit, phase, True, 100, 7)
