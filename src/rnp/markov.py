@@ -29,7 +29,7 @@ from .model import (
     RestartMode,
     ValidationError,
 )
-from .pumping import PumpTrace, StepKind, run_two_level
+from .pumping import PumpTrace, StepKind, StepRecord
 
 __all__ = [
     "MarkovChain",
@@ -231,6 +231,58 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
     return _scan_budget(chain, delta_min, cap)[0]
 
 
+def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpTrace:
+    """Trace of the infidelity-optimal schedule over (n_b, n_p) <= bound.
+
+    Ties break toward fewer total steps, then fewer phase steps.  Dephased
+    raw pairs carry no bit errors, so their search is restricted to the
+    one-level (n_b = 0) row.
+    """
+    if not isinstance(bound, int) or bound < 0:
+        raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
+    n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
+    # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
+    # bit-purified pair of n_b is that of n_b - 1 plus one bit step, so the
+    # search extends one trace per n_b by one step per schedule.  These are
+    # the pump_step calls run_two_level makes, so the records are its trace.
+    base = pumping.raw_pair(params)
+    bit_steps: list[StepRecord] = []
+    bit_purified = base
+    best: tuple[float, int, int] | None = None
+    best_sched: PumpSchedule | None = None
+    best_phase_steps: list[StepRecord] = []
+    best_state = base
+    for n_b in n_b_range:
+        if n_b > 0:
+            rec = pumping.pump_step(bit_purified, base, StepKind.BIT, params.p_local, meas_flip)
+            bit_steps.append(rec)
+            bit_purified = rec.state_after_success
+        phase_steps: list[StepRecord] = []
+        keeper = bit_purified
+        for n_p in range(bound + 1):
+            sched = PumpSchedule(n_b=n_b, n_p=n_p)
+            if n_p > 0:
+                rec = pumping.pump_step(
+                    keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip
+                )
+                phase_steps.append(rec)
+                keeper = rec.state_after_success
+            key = (keeper.infidelity, n_b + n_p, n_p)
+            if best is None or key < best:
+                best = key
+                best_sched = sched
+                best_phase_steps = phase_steps
+                best_state = keeper
+    assert best is not None and best_sched is not None
+    steps = bit_steps[: best_sched.n_b] + best_phase_steps[: best_sched.n_p]
+    return PumpTrace(
+        schedule=best_sched,
+        steps=tuple(steps),
+        final_state=best_state,
+        infidelity=best[0],
+    )
+
+
 def optimize_schedule(
     params: ErrorParams,
     meas_flip: float,
@@ -242,34 +294,8 @@ def optimize_schedule(
     raw pairs carry no bit errors, so their search is restricted to the
     one-level (n_b = 0) row.
     """
-    if not isinstance(bound, int) or bound < 0:
-        raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
-    n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
-    # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
-    # bit-purified pair of n_b is that of n_b - 1 plus one bit step, so the
-    # search extends one trace per n_b by one step per schedule.
-    base = pumping.raw_pair(params)
-    bit_purified = base
-    best: tuple[float, int, int] | None = None
-    best_sched: PumpSchedule | None = None
-    for n_b in n_b_range:
-        if n_b > 0:
-            bit_purified = pumping.pump_step(
-                bit_purified, base, StepKind.BIT, params.p_local, meas_flip
-            ).state_after_success
-        keeper = bit_purified
-        for n_p in range(bound + 1):
-            sched = PumpSchedule(n_b=n_b, n_p=n_p)
-            if n_p > 0:
-                keeper = pumping.pump_step(
-                    keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip
-                ).state_after_success
-            key = (keeper.infidelity, n_b + n_p, n_p)
-            if best is None or key < best:
-                best = key
-                best_sched = sched
-    assert best is not None and best_sched is not None
-    return best_sched, best[0]
+    trace = _search_schedule(params, meas_flip, bound)
+    return trace.schedule, trace.infidelity
 
 
 def plan(
@@ -291,8 +317,8 @@ def plan(
     if meas.duration_s is None:
         raise ValidationError("plan requires a MeasurementPlan with a duration")
 
-    schedule, delta_min = optimize_schedule(params, meas.error_prob, bound)
-    trace = run_two_level(schedule, params, meas.error_prob)
+    trace = _search_schedule(params, meas.error_prob, bound)
+    schedule, delta_min = trace.schedule, trace.infidelity
     chain = build_chain(trace, restart_mode)
     budget, eps = _scan_budget(chain, delta_min, BUDGET_CAP)
     eps_fail = _clamp_probability(eps)

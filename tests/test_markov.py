@@ -17,8 +17,8 @@ from rnp import (
     run_two_level,
     solve_budget,
 )
-from rnp import backend, pumping
-from rnp.markov import MarkovChain
+from rnp import backend, cli, pumping
+from rnp.markov import MarkovChain, _search_schedule
 from rnp.measurement import optimal_m
 from rnp.timing import build_timings
 
@@ -227,6 +227,31 @@ class TestOptimizeSchedule:
         optimize_schedule(p, 1.2e-5, bound=15)
         assert count == calls
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+        p_l=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        eps_m=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=0, max_value=8),
+    )
+    def test_search_trace_is_two_level_trace(self, f, p_l, eps_m, noise, bound):
+        # The search keeps the records of the winning schedule; they must be
+        # exactly the trace a separate run of that schedule produces.
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        trace = _search_schedule(p, eps_m, bound)
+        assert (trace.schedule, trace.infidelity) == optimize_schedule(p, eps_m, bound)
+        assert trace == run_two_level(trace.schedule, p, eps_m)
+
+    def test_search_trace_at_default_bound(self):
+        p = params(0.95, p_l=1e-6)
+        trace = _search_schedule(p, 1.2e-5, 15)
+        expect = run_two_level(PumpSchedule(4, 5), p, 1.2e-5)
+        assert trace.schedule == expect.schedule
+        for got, want in zip(trace.steps, expect.steps, strict=True):
+            assert got == want
+        assert trace == expect
+
 
 TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
 
@@ -273,6 +298,22 @@ class TestPlan:
         chain = build_chain(run_two_level(r.schedule, p, meas.error_prob), mode)
         assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
         assert r.expected_pairs == expected_pairs(chain)
+
+    @pytest.mark.parametrize("preset,calls", [("ion-depolarizing", 255), ("nv-dephasing", 15)])
+    def test_plan_reuses_search_trace(self, monkeypatch, capsys, preset, calls):
+        # Only the search's pump steps: the chosen schedule is not traced again.
+        count = 0
+        real = pumping.pump_step
+
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pumping, "pump_step", counting)
+        assert cli.main(["plan", "--preset", preset]) == 0
+        capsys.readouterr()
+        assert count == calls
 
     def test_heavy_plan_scans_chain_once(self, monkeypatch):
         # The largest budget of the default sweep grid.
