@@ -10,8 +10,6 @@ use, in one in-place Philox pass per step.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 NAME = "python"
@@ -33,7 +31,6 @@ _CHUNK = 8192
 HARD_CAP = 10_000_000
 
 
-@functools.lru_cache(maxsize=8)
 def _round_keys(seed: int) -> np.ndarray:
     """The ten round keys (k0, k1), each as a (2, 1) column."""
     key = (seed & _MASK32, (seed >> 32) & _MASK32)
