@@ -232,12 +232,7 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
 
 
 def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpTrace:
-    """Trace of the infidelity-optimal schedule over (n_b, n_p) <= bound.
-
-    Ties break toward fewer total steps, then fewer phase steps.  Dephased
-    raw pairs carry no bit errors, so their search is restricted to the
-    one-level (n_b = 0) row.
-    """
+    """Trace of the schedule ``optimize_schedule`` picks."""
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
     n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
@@ -248,10 +243,8 @@ def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpT
     base = pumping.raw_pair(params)
     bit_steps: list[StepRecord] = []
     bit_purified = base
-    best: tuple[float, int, int] | None = None
-    best_sched: PumpSchedule | None = None
-    best_phase_steps: list[StepRecord] = []
-    best_state = base
+    best_key: tuple[float, int, int] | None = None
+    best: PumpTrace | None = None
     for n_b in n_b_range:
         if n_b > 0:
             rec = pumping.pump_step(bit_purified, base, StepKind.BIT, params.p_local, meas_flip)
@@ -268,19 +261,16 @@ def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpT
                 phase_steps.append(rec)
                 keeper = rec.state_after_success
             key = (keeper.infidelity, n_b + n_p, n_p)
-            if best is None or key < best:
-                best = key
-                best_sched = sched
-                best_phase_steps = phase_steps
-                best_state = keeper
-    assert best is not None and best_sched is not None
-    steps = bit_steps[: best_sched.n_b] + best_phase_steps[: best_sched.n_p]
-    return PumpTrace(
-        schedule=best_sched,
-        steps=tuple(steps),
-        final_state=best_state,
-        infidelity=best[0],
-    )
+            if best_key is None or key < best_key:
+                best_key = key
+                best = PumpTrace(
+                    schedule=sched,
+                    steps=tuple(bit_steps + phase_steps),
+                    final_state=keeper,
+                    infidelity=keeper.infidelity,
+                )
+    assert best is not None
+    return best
 
 
 def optimize_schedule(

@@ -38,9 +38,10 @@ def philox_reference(ctr, key, rounds=10):
     return c0, c1, c2, c3
 
 
-# Reference kernel: the plain NumPy Philox and the Monte-Carlo walk that
-# draws a bit uniform and a comparison uniform for every live trial at
-# every step, kept verbatim.  The package kernel must match it bit for bit.
+# Reference kernel: the package's earlier plain NumPy Philox and its
+# Monte-Carlo walk, which draws a bit uniform and a comparison uniform for
+# every live trial at every step, kept unchanged.  The package kernel must
+# match it bit for bit.
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
 _BUMP0 = 0x9E3779B9
