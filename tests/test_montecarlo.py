@@ -308,7 +308,7 @@ class TestKernelMatchesReference:
 
 
 class TestKernelWork:
-    def test_one_philox_call_per_step_and_no_unused_draws(self, monkeypatch):
+    def test_one_philox_call_and_at_most_one_uniform_per_raw_pair(self, monkeypatch):
         calls = []
         real = backend.philox_uniforms
 
