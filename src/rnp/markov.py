@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend, pumping
+from . import pumping
 from .measurement import optimal_m
 from .model import (
     BudgetCapError,
@@ -50,13 +50,12 @@ BUDGET_CAP = 10**6
 class MarkovChain:
     """Absorbing chain over raw-pair consumption.
 
-    ``states`` lists the transient progress labels plus "DONE";
-    ``step_success`` is each transient state's probability of advancing on
-    its next raw pair (products where a build completion and a phase
-    comparison ride on the same raw).
+    Transient state b*(n_b+1) + r is build b with r raws sunk into it, and
+    the last state is DONE.  ``step_success`` is each transient state's
+    probability of advancing on its next raw pair (products where a build
+    completion and a phase comparison ride on the same raw).
     """
 
-    states: tuple[str, ...]
     step_success: tuple[float, ...]
     restart_mode: RestartMode
     n_b: int
@@ -67,7 +66,7 @@ class MarkovChain:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.min_pairs + 1
 
     @property
     def start(self) -> int:
@@ -75,7 +74,7 @@ class MarkovChain:
 
     @property
     def done(self) -> int:
-        return len(self.states) - 1
+        return self.min_pairs
 
     @property
     def min_pairs(self) -> int:
@@ -89,7 +88,16 @@ class MarkovChain:
 
 
 def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
-    """Assemble the absorbing chain from a deterministic pump trace."""
+    """Assemble the absorbing chain from a deterministic pump trace.
+
+    The raw consumed in state (b, r) succeeds with probability
+    bit[r] * cmp[b] when it completes the build (r = n_b) and bit[r]
+    otherwise, where bit[0] = cmp[0] = 1 (a base raw, the keeper build) and
+    bit[r], cmp[b] are the trace's r-th bit and b-th phase step.  Success
+    moves to the next state in layout order, which is the next build's base
+    raw or DONE after a completed build; failure restarts at (0, 0) or at
+    (b, 0).  Zero-probability transitions are left out.
+    """
     if not isinstance(restart_mode, RestartMode):
         raise ValidationError(f"restart_mode must be a RestartMode, got {restart_mode!r}")
     n_b = trace.schedule.n_b
@@ -100,72 +108,27 @@ def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
         raise ValidationError("trace steps do not match its schedule")
 
     width = n_b + 1
-
-    def idx(b: int, r: int) -> int:
-        return b * width + r
-
-    n_transient = (n_p + 1) * width
-    done = n_transient
-    labels = []
-    step_success = []
-    src: list[int] = []
-    dst: list[int] = []
-    prob: list[float] = []
-
-    def add(s: int, d: int, p: float) -> None:
-        if p > 0.0:
-            src.append(s)
-            dst.append(d)
-            prob.append(p)
-
-    for b in range(n_p + 1):
-        advance_to = done if b == n_p else idx(b + 1, 0)
-        restart_to = idx(0, 0) if restart_mode is RestartMode.FULL else idx(b, 0)
-        for r in range(width):
-            s = idx(b, r)
-            role = "keeper" if b == 0 else f"phase{b}"
-            labels.append(f"{role}:raws{r}")
-            if n_b == 0:
-                # The single raw is the whole build.
-                if b == 0:
-                    add(s, advance_to, 1.0)
-                    step_success.append(1.0)
-                else:
-                    p = phase_succ[b - 1]
-                    add(s, advance_to, p)
-                    add(s, restart_to, 1.0 - p)
-                    step_success.append(p)
-            elif r == 0:
-                add(s, idx(b, 1), 1.0)
-                step_success.append(1.0)
-            elif r < n_b:
-                p = bit_succ[r - 1]
-                add(s, idx(b, r + 1), p)
-                add(s, restart_to, 1.0 - p)
-                step_success.append(p)
-            else:
-                p_bit = bit_succ[n_b - 1]
-                if b == 0:
-                    add(s, advance_to, p_bit)
-                    add(s, restart_to, 1.0 - p_bit)
-                    step_success.append(p_bit)
-                else:
-                    p_cmp = phase_succ[b - 1]
-                    add(s, advance_to, p_bit * p_cmp)
-                    add(s, restart_to, 1.0 - p_bit * p_cmp)
-                    step_success.append(p_bit * p_cmp)
-    labels.append("DONE")
-    add(done, done, 1.0)
+    n = (n_p + 1) * width  # transient states; DONE is state n
+    b, r = np.divmod(np.arange(n), width)
+    bit = np.array([1.0] + bit_succ)
+    cmp = np.array([1.0] + phase_succ)
+    p = bit[r] * cmp[np.where(r == n_b, b, 0)]
+    on_success = np.arange(1, n + 1)
+    on_failure = np.zeros_like(b) if restart_mode is RestartMode.FULL else b * width
+    # One (success, failure) pair per state, in state order, then DONE's loop.
+    src = np.arange(2 * n + 1) // 2
+    dst = np.append(np.column_stack((on_success, on_failure)), n)
+    prob = np.append(np.column_stack((p, 1.0 - p)), 1.0)
+    keep = prob > 0.0
 
     return MarkovChain(
-        states=tuple(labels),
-        step_success=tuple(step_success),
+        step_success=tuple(p.tolist()),
         restart_mode=restart_mode,
         n_b=n_b,
         n_p=n_p,
-        trans_src=np.asarray(src, dtype=np.int64),
-        trans_dst=np.asarray(dst, dtype=np.int64),
-        trans_p=np.asarray(prob, dtype=np.float64),
+        trans_src=src[keep].astype(np.int64),
+        trans_dst=dst[keep].astype(np.int64),
+        trans_p=prob[keep],
     )
 
 
@@ -173,21 +136,32 @@ def _clamp_probability(eps: float) -> float:
     return float(min(max(eps, 0.0), 1.0))
 
 
+def _scan(chain: MarkovChain, target: float, cap: int) -> tuple[int, float]:
+    """Smallest step count with failure mass 1 - dist[done] <= target.
+
+    Returns (-1, last_eps) when the cap is reached first.
+    """
+    n_states, done = chain.n_states, chain.done
+    dist = np.zeros(n_states, dtype=np.float64)
+    dist[chain.start] = 1.0
+    eps = 1.0 - dist[done]
+    if eps <= target:
+        return 0, eps
+    src, dst, p = chain.trans_src, chain.trans_dst, chain.trans_p
+    for step in range(1, cap + 1):
+        dist = np.bincount(dst, weights=p * dist[src], minlength=n_states)
+        eps = 1.0 - dist[done]
+        if eps <= target:
+            return step, eps
+    return -1, eps
+
+
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
     # An unreachable target makes the scan evolve exactly ``budget`` steps.
-    _, eps = backend.chain_scan(
-        chain.trans_src,
-        chain.trans_dst,
-        chain.trans_p,
-        chain.n_states,
-        chain.start,
-        chain.done,
-        -1.0,
-        int(budget),
-    )
+    _, eps = _scan(chain, -1.0, int(budget))
     return _clamp_probability(eps)
 
 
@@ -196,10 +170,7 @@ def expected_pairs(chain: MarkovChain) -> float:
     if min(chain.step_success) <= 0.0:
         raise ValidationError("a step has zero success probability; the chain cannot absorb")
     n_t = chain.n_states - 1
-    q = np.zeros((n_t, n_t))
-    for s, d, p in zip(chain.trans_src, chain.trans_dst, chain.trans_p):
-        if s < n_t and d < n_t:
-            q[s, d] += p
+    q = chain.transition_matrix()[:n_t, :n_t]
     t = np.linalg.solve(np.eye(n_t) - q, np.ones(n_t))
     return float(t[chain.start])
 
@@ -209,16 +180,7 @@ def _scan_budget(chain: MarkovChain, delta_min: float, cap: int) -> tuple[int, f
     budget's unclamped failure mass, from one scan of the chain."""
     if not (0.0 <= delta_min < 1.0) or not math.isfinite(delta_min):
         raise ValidationError(f"delta_min must lie in [0, 1), got {delta_min!r}")
-    budget, eps = backend.chain_scan(
-        chain.trans_src,
-        chain.trans_dst,
-        chain.trans_p,
-        chain.n_states,
-        chain.start,
-        chain.done,
-        float(delta_min),
-        int(cap),
-    )
+    budget, eps = _scan(chain, float(delta_min), int(cap))
     if budget < 0:
         raise BudgetCapError(
             f"no budget up to {cap} reaches failure probability {delta_min!r}"

@@ -51,16 +51,16 @@ class MemoryCheck(NamedTuple):
     warning: bool
 
 
-def memory_check(t_c: float, t_mem: float, threshold: float = DEFAULT_MEMORY_RATIO) -> MemoryCheck:
+def memory_check(t_c: float, t_mem: float) -> MemoryCheck:
     """Compare a clock cycle against the storage memory time.
 
-    Returns t_c/t_mem and a warning flag once the ratio exceeds the
-    threshold (default 1%, i.e. two decades of headroom).
+    Returns t_c/t_mem and a warning flag once the ratio exceeds
+    ``DEFAULT_MEMORY_RATIO`` (1%, i.e. two decades of headroom).
     """
     if t_c <= 0.0 or t_mem <= 0.0:
         raise ValidationError("t_c and t_mem must both be positive")
     ratio = t_c / t_mem
-    return MemoryCheck(ratio=ratio, warning=ratio > threshold)
+    return MemoryCheck(ratio=ratio, warning=ratio > DEFAULT_MEMORY_RATIO)
 
 
 def build_timings(

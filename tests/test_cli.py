@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,45 @@ SMALL_SWEEP = [
     "--p-l-min", "1e-6",
     "--p-l-max", "1e-4",
 ]
+
+
+#: Exact `rnp plan --preset PRESET --restart-mode MODE` stdout.
+FROZEN_PLANS = {
+    ("ion-depolarizing", "full"): (
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821003137e-06, '
+        '"n_tot_budget": 703, "expected_pairs": 76.84246740177304, '
+        '"eps_fail": 4.507532080477716e-06, "eps_E": 9.094580901480853e-06, '
+        '"t_robust_ent": 0.00024009306274727315, "t_C": 0.00024295691841215005, '
+        '"gamma": 3.480071084540761e-05, "p_cnot_raw": 0.15000200000000005}\n'
+    ),
+    ("ion-depolarizing", "level"): (
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821003137e-06, '
+        '"n_tot_budget": 83, "expected_pairs": 36.46832907448627, '
+        '"eps_fail": 4.2491252273402225e-06, "eps_E": 8.83617404834336e-06, '
+        '"t_robust_ent": 0.00011394471204300254, "t_C": 0.00011680856770787946, '
+        '"gamma": 3.4542303992270113e-05, "p_cnot_raw": 0.15000200000000005}\n'
+    ),
+    ("nv-dephasing", "full"): (
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938377851e-06, '
+        '"n_tot_budget": 43, "expected_pairs": 7.279689205597537, '
+        '"eps_fail": 1.5573806197988205e-06, "eps_E": 3.5904415581766713e-06, '
+        '"t_robust_ent": 2.2745272715954565e-05, "t_C": 2.5609128380831473e-05, '
+        '"gamma": 2.9296571502103425e-05, "p_cnot_raw": 0.15000200000000005}\n'
+    ),
+    ("nv-dephasing", "level"): (
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938377851e-06, '
+        '"n_tot_budget": 12, "expected_pairs": 6.318541196199488, '
+        '"eps_fail": 1.0104295273816177e-06, "eps_E": 3.0434904657594686e-06, '
+        '"t_robust_ent": 1.974218110356189e-05, "t_C": 2.2606036768438798e-05, '
+        '"gamma": 2.8749620409686223e-05, "p_cnot_raw": 0.15000200000000005}\n'
+    ),
+}
+
+#: md5 of the default `rnp sweep --restart-mode MODE` CSV.
+FROZEN_SWEEP_MD5 = {
+    "full": "8b4f115a7e977235ded2381d2b5eb194",
+    "level": "06451fa6d6b182b94716facca7390f6d",
+}
 
 
 def run_cli(capsys, argv):
@@ -116,12 +156,10 @@ class TestSweep:
         f_first_block = [float(r[1]) for r in rows[:2]]
         assert f_first_block == sorted(f_first_block)
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        monkeypatch.setenv("RNP_THREADS", "1")
         assert cli.main(SMALL_SWEEP + ["--out", str(out_a)]) == 0
-        monkeypatch.setenv("RNP_THREADS", "4")
         assert cli.main(SMALL_SWEEP + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -166,3 +204,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "oracle-equivalence" in err
+
+
+class TestFrozenOutputs:
+    # Refactors keep every output byte; these pin the bytes they must keep.
+    @pytest.mark.parametrize("preset,mode", sorted(FROZEN_PLANS))
+    def test_plan_stdout(self, capsys, preset, mode):
+        code, out, _ = run_cli(capsys, ["plan", "--preset", preset, "--restart-mode", mode])
+        assert code == 0
+        assert out == FROZEN_PLANS[preset, mode]
+
+    @pytest.mark.parametrize("mode", sorted(FROZEN_SWEEP_MD5))
+    def test_default_sweep_csv(self, tmp_path, mode):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--restart-mode", mode, "--out", str(out)]) == 0
+        assert hashlib.md5(out.read_bytes()).hexdigest() == FROZEN_SWEEP_MD5[mode]

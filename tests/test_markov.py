@@ -17,9 +17,10 @@ from rnp import (
     run_two_level,
     solve_budget,
 )
-from rnp import backend, cli, pumping
+from rnp import cli, markov, pumping
 from rnp.markov import MarkovChain, _search_schedule
 from rnp.measurement import optimal_m
+from rnp.pumping import PumpTrace, StepKind, StepRecord
 from rnp.timing import build_timings
 
 
@@ -38,7 +39,109 @@ def all_success_chain(n_b, n_p, mode=RestartMode.FULL):
     return build_chain(trace, mode)
 
 
+def reference_build_chain(trace, restart_mode):
+    """The per-state loop build_chain used to run, kept as its reference.
+
+    Returns (trans_src, trans_dst, trans_p, step_success).
+    """
+    n_b = trace.schedule.n_b
+    n_p = trace.schedule.n_p
+    bit_succ = [s.success_prob for s in trace.steps if s.kind is StepKind.BIT]
+    phase_succ = [s.success_prob for s in trace.steps if s.kind is StepKind.PHASE]
+
+    width = n_b + 1
+
+    def idx(b: int, r: int) -> int:
+        return b * width + r
+
+    n_transient = (n_p + 1) * width
+    done = n_transient
+    step_success = []
+    src: list[int] = []
+    dst: list[int] = []
+    prob: list[float] = []
+
+    def add(s: int, d: int, p: float) -> None:
+        if p > 0.0:
+            src.append(s)
+            dst.append(d)
+            prob.append(p)
+
+    for b in range(n_p + 1):
+        advance_to = done if b == n_p else idx(b + 1, 0)
+        restart_to = idx(0, 0) if restart_mode is RestartMode.FULL else idx(b, 0)
+        for r in range(width):
+            s = idx(b, r)
+            if n_b == 0:
+                # The single raw is the whole build.
+                if b == 0:
+                    add(s, advance_to, 1.0)
+                    step_success.append(1.0)
+                else:
+                    p = phase_succ[b - 1]
+                    add(s, advance_to, p)
+                    add(s, restart_to, 1.0 - p)
+                    step_success.append(p)
+            elif r == 0:
+                add(s, idx(b, 1), 1.0)
+                step_success.append(1.0)
+            elif r < n_b:
+                p = bit_succ[r - 1]
+                add(s, idx(b, r + 1), p)
+                add(s, restart_to, 1.0 - p)
+                step_success.append(p)
+            else:
+                p_bit = bit_succ[n_b - 1]
+                if b == 0:
+                    add(s, advance_to, p_bit)
+                    add(s, restart_to, 1.0 - p_bit)
+                    step_success.append(p_bit)
+                else:
+                    p_cmp = phase_succ[b - 1]
+                    add(s, advance_to, p_bit * p_cmp)
+                    add(s, restart_to, 1.0 - p_bit * p_cmp)
+                    step_success.append(p_bit * p_cmp)
+    add(done, done, 1.0)
+
+    return (
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(prob, dtype=np.float64),
+        tuple(step_success),
+    )
+
+
+def trace_from_probs(bit_succ, phase_succ):
+    """A trace with the given step success probabilities (states are placeholders)."""
+    state = pumping.raw_pair(params())
+    steps = [StepRecord(StepKind.BIT, state, p, state) for p in bit_succ]
+    steps += [StepRecord(StepKind.PHASE, state, p, state) for p in phase_succ]
+    return PumpTrace(
+        schedule=PumpSchedule(len(bit_succ), len(phase_succ)),
+        steps=tuple(steps),
+        final_state=state,
+        infidelity=state.infidelity,
+    )
+
+
+step_probs = st.lists(
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    max_size=6,
+)
+
+
 class TestBuildChain:
+    @settings(max_examples=200, deadline=None)
+    @given(bit_succ=step_probs, phase_succ=step_probs, mode=st.sampled_from(list(RestartMode)))
+    def test_matches_reference_loop(self, bit_succ, phase_succ, mode):
+        trace = trace_from_probs(bit_succ, phase_succ)
+        chain = build_chain(trace, mode)
+        src, dst, prob, step_success = reference_build_chain(trace, mode)
+        assert np.array_equal(chain.trans_src, src)
+        assert np.array_equal(chain.trans_dst, dst)
+        assert np.array_equal(chain.trans_p, prob)
+        assert chain.step_success == step_success
+
     def test_trivial_schedule_two_states(self):
         chain = chain_for(0, 0)
         assert chain.n_states == 2
@@ -106,7 +209,6 @@ class TestExpectedPairs:
         # hand-built chain: one transient state, success p, restart to itself
         p = 0.37
         chain = MarkovChain(
-            states=("stage", "DONE"),
             step_success=(p,),
             restart_mode=RestartMode.FULL,
             n_b=0,
@@ -320,13 +422,13 @@ class TestPlan:
         p = params(0.90, p_l=1e-6)
         meas = optimal_m(p, timings=self.TIMINGS)
         scans = []
-        real = backend.chain_scan
+        real = markov._scan
 
         def counting(*args):
             scans.append(args)
             return real(*args)
 
-        monkeypatch.setattr(backend, "chain_scan", counting)
+        monkeypatch.setattr(markov, "_scan", counting)
         r = plan(p, self.TIMINGS, meas, restart_mode=RestartMode.FULL)
         assert len(scans) == 1
         assert r.n_tot_budget == 62682

@@ -14,7 +14,7 @@ from rnp import (
     monte_carlo_pumping,
     run_two_level,
 )
-from rnp import backend
+from rnp import oracle
 from rnp.model import BellDiagonalState, StepKind
 from rnp.pumping import PumpTrace, StepRecord
 
@@ -185,20 +185,20 @@ class TestPhilox:
         ) == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
 
     def test_backends_match_reference(self):
-        u = backend.philox_uniforms(0, np.array([0], dtype=np.uint32), np.array([0], dtype=np.uint32))
+        u = oracle.philox_uniforms(0, np.array([0], dtype=np.uint32), np.array([0], dtype=np.uint32))
         assert u[0] == KAT_ZERO_UNIFORM
         # a couple of nonzero streams against the scalar reference
         for seed, trial, draw in [(7, 3, 11), (2**40 + 5, 1000, 0)]:
             x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
             expect = (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
-            got = backend.philox_uniforms(
+            got = oracle.philox_uniforms(
                 seed, np.array([trial], dtype=np.uint32), np.array([draw], dtype=np.uint32)
             )[0]
             assert got == expect
 
     def test_uniforms_in_unit_interval(self):
         t = np.arange(2000, dtype=np.uint32)
-        u = backend.philox_uniforms(123, t, t)
+        u = oracle.philox_uniforms(123, t, t)
         assert (u >= 0.0).all() and (u < 1.0).all()
         assert 0.45 < u.mean() < 0.55
 
@@ -257,7 +257,7 @@ class TestMonteCarlo:
         assert abs(res.mean_pairs - expect) <= 3.0 * res.pairs_std_err
 
 
-CHUNK = backend._CHUNK
+CHUNK = oracle._CHUNK
 
 
 def success_probs(trace):
@@ -282,7 +282,7 @@ class TestKernelMatchesReference:
         # Keep each walk short: full restart at p = 0.6 can need ~1e6 pairs.
         assume(expected_pairs(chain_for_probs(bit_succ, phase_succ, mode)) <= 40.0)
         full = mode is RestartMode.FULL
-        got = backend.mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
+        got = oracle.mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
         want = reference_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
         assert np.array_equal(got, want)
 
@@ -291,7 +291,7 @@ class TestKernelMatchesReference:
     def test_verify_schedules(self, n_b, n_p, mode):
         bit, phase = success_probs(trace_for(n_b, n_p))
         full = mode is RestartMode.FULL
-        got = backend.mc_consumed_pairs(bit, phase, full, 20000, 7)
+        got = oracle.mc_consumed_pairs(bit, phase, full, 20000, 7)
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 20000, 7))
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
@@ -300,7 +300,7 @@ class TestKernelMatchesReference:
         for seed in (0, 2**63 + 5):
             trials = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
             draws = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
-            got = backend.philox_uniforms(seed, trials, draws)
+            got = oracle.philox_uniforms(seed, trials, draws)
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.array_equal(got, reference_philox_uniforms(seed, trials, draws))
             for i in {0, n // 2, n - 1} if n else ():
@@ -310,20 +310,20 @@ class TestKernelMatchesReference:
 class TestKernelWork:
     def test_one_philox_call_and_at_most_one_uniform_per_raw_pair(self, monkeypatch):
         calls = []
-        real = backend.philox_uniforms
+        real = oracle.philox_uniforms
 
         def counting(seed, trial_ids, draw_ids):
             calls.append(len(trial_ids))
             return real(seed, trial_ids, draw_ids)
 
-        monkeypatch.setattr(backend, "philox_uniforms", counting)
+        monkeypatch.setattr(oracle, "philox_uniforms", counting)
         bit, phase = success_probs(trace_for(4, 5))
-        consumed = backend.mc_consumed_pairs(bit, phase, True, 20000, 7)
+        consumed = oracle.mc_consumed_pairs(bit, phase, True, 20000, 7)
         assert len(calls) <= consumed.max()
         assert sum(calls) <= consumed.sum()
 
     def test_hard_cap(self, monkeypatch):
-        monkeypatch.setattr(backend, "HARD_CAP", 3)
+        monkeypatch.setattr(oracle, "HARD_CAP", 3)
         bit, phase = success_probs(trace_for(2, 2))
         with pytest.raises(RuntimeError, match="Monte-Carlo per-trial raw-pair cap exceeded"):
-            backend.mc_consumed_pairs(bit, phase, True, 100, 7)
+            oracle.mc_consumed_pairs(bit, phase, True, 100, 7)
