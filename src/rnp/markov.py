@@ -136,31 +136,56 @@ def _clamp_probability(eps: float) -> float:
     return float(min(max(eps, 0.0), 1.0))
 
 
-def _scan(chain: MarkovChain, target: float, cap: int) -> tuple[int, float]:
-    """Smallest step count with failure mass 1 - dist[done] <= target.
+def _transient_block(chain: MarkovChain) -> np.ndarray:
+    """Q: the transition probabilities among the transient states."""
+    n_t = chain.done
+    return chain.transition_matrix()[:n_t, :n_t]
 
-    Returns (-1, last_eps) when the cap is reached first.
+
+def _mass(powers: list[np.ndarray], start: np.ndarray, n: int) -> float:
+    """Failure mass after n steps: the transient mass of e_start Q^n.
+
+    Q^n is applied as the powers Q^(2^k) of n's set bits, highest bit first.
+    This one evaluation order gives every failure mass the program reports.
     """
-    n_states, done = chain.n_states, chain.done
-    dist = np.zeros(n_states, dtype=np.float64)
-    dist[chain.start] = 1.0
-    eps = 1.0 - dist[done]
-    if eps <= target:
-        return 0, eps
-    src, dst, p = chain.trans_src, chain.trans_dst, chain.trans_p
-    for step in range(1, cap + 1):
-        dist = np.bincount(dst, weights=p * dist[src], minlength=n_states)
-        eps = 1.0 - dist[done]
-        if eps <= target:
-            return step, eps
-    return -1, eps
+    v = start
+    for k in reversed(range(n.bit_length())):
+        if n >> k & 1:
+            v = v @ powers[k]
+    return float(v.sum())
+
+
+def _scan(chain: MarkovChain, target: float, cap: int) -> tuple[int, float]:
+    """Smallest step count n <= cap whose failure mass is at most ``target``
+    (which must be below 1), and that mass.
+
+    Returns (-1, mass after ``cap`` steps) when no such n exists.  The failure
+    mass is the transient mass, never 1 - P(DONE), so it carries no
+    cancellation.  Q is squared until the mass at 2^k reaches the target or
+    2^(k+1) passes the cap; a binary descent over those powers then finds the
+    largest n whose mass is above the target, and n + 1 is the answer.
+    """
+    start = np.zeros(chain.done)
+    start[chain.start] = 1.0
+    powers = [_transient_block(chain)]
+    while powers[-1][chain.start].sum() > target and 2 << (len(powers) - 1) <= cap:
+        powers.append(powers[-1] @ powers[-1])
+    n, v = 0, start
+    for k in reversed(range(len(powers))):
+        if n + (1 << k) <= cap:
+            w = v @ powers[k]
+            if w.sum() > target:
+                n, v = n + (1 << k), w
+    if n == cap:
+        return -1, _mass(powers, start, cap)
+    return n + 1, _mass(powers, start, n + 1)
 
 
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
-    # An unreachable target makes the scan evolve exactly ``budget`` steps.
+    # No mass is at most -1, so the scan evaluates the mass at ``budget``.
     _, eps = _scan(chain, -1.0, int(budget))
     return _clamp_probability(eps)
 
@@ -169,9 +194,8 @@ def expected_pairs(chain: MarkovChain) -> float:
     """Expected raw pairs until absorption (fundamental-matrix solve)."""
     if min(chain.step_success) <= 0.0:
         raise ValidationError("a step has zero success probability; the chain cannot absorb")
-    n_t = chain.n_states - 1
-    q = chain.transition_matrix()[:n_t, :n_t]
-    t = np.linalg.solve(np.eye(n_t) - q, np.ones(n_t))
+    q = _transient_block(chain)
+    t = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
     return float(t[chain.start])
 
 

@@ -163,7 +163,9 @@ class BellDiagonalState:
 
     @property
     def infidelity(self) -> float:
-        return 1.0 - self.p_phi_plus
+        """Total error population, summed directly rather than as 1 - p_phi_plus,
+        which would cancel to 0 for pairs better than ~1e-16."""
+        return self.p_phi_minus + self.p_psi_plus + self.p_psi_minus
 
     @property
     def bit_error_mass(self) -> float:

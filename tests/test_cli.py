@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import time
 
 import pytest
 
@@ -19,39 +21,39 @@ SMALL_SWEEP = [
 #: Exact `rnp plan --preset PRESET --restart-mode MODE` stdout.
 FROZEN_PLANS = {
     ("ion-depolarizing", "full"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821003137e-06, '
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061347e-06, '
         '"n_tot_budget": 703, "expected_pairs": 76.84246740177304, '
-        '"eps_fail": 4.507532080477716e-06, "eps_E": 9.094580901480853e-06, '
+        '"eps_fail": 4.5075320800481716e-06, "eps_E": 9.094580901109517e-06, '
         '"t_robust_ent": 0.00024009306274727315, "t_C": 0.00024295691841215005, '
-        '"gamma": 3.480071084540761e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '"gamma": 3.480071084503627e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("ion-depolarizing", "level"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821003137e-06, '
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061347e-06, '
         '"n_tot_budget": 83, "expected_pairs": 36.46832907448627, '
-        '"eps_fail": 4.2491252273402225e-06, "eps_E": 8.83617404834336e-06, '
+        '"eps_fail": 4.249125227480353e-06, "eps_E": 8.8361740485417e-06, '
         '"t_robust_ent": 0.00011394471204300254, "t_C": 0.00011680856770787946, '
-        '"gamma": 3.4542303992270113e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '"gamma": 3.4542303992468455e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "full"): (
-        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938377851e-06, '
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
         '"n_tot_budget": 43, "expected_pairs": 7.279689205597537, '
-        '"eps_fail": 1.5573806197988205e-06, "eps_E": 3.5904415581766713e-06, '
+        '"eps_fail": 1.5573806196242627e-06, "eps_E": 3.5904415579699483e-06, '
         '"t_robust_ent": 2.2745272715954565e-05, "t_C": 2.5609128380831473e-05, '
-        '"gamma": 2.9296571502103425e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '"gamma": 2.9296571501896702e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "level"): (
-        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938377851e-06, '
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
         '"n_tot_budget": 12, "expected_pairs": 6.318541196199488, '
-        '"eps_fail": 1.0104295273816177e-06, "eps_E": 3.0434904657594686e-06, '
+        '"eps_fail": 1.0104295272640845e-06, "eps_E": 3.04349046560977e-06, '
         '"t_robust_ent": 1.974218110356189e-05, "t_C": 2.2606036768438798e-05, '
-        '"gamma": 2.8749620409686223e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '"gamma": 2.874962040953652e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
 }
 
 #: md5 of the default `rnp sweep --restart-mode MODE` CSV.
 FROZEN_SWEEP_MD5 = {
-    "full": "8b4f115a7e977235ded2381d2b5eb194",
-    "level": "06451fa6d6b182b94716facca7390f6d",
+    "full": "fa9f71f1532d85415544b398561862d7",
+    "level": "cfac18dddfa4b809e90314743404546c",
 }
 
 
@@ -135,6 +137,38 @@ class TestPlan:
         code2, out2, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+#: The exit-3 messages the README documents for valid flags above F = 1/2.
+DOCUMENTED_EXIT_3 = (
+    "budget search failed: no budget up to 1000000 reaches failure probability ",
+    "invalid parameter: gamma out of range ",
+)
+
+
+class TestPlanDomain:
+    # Across the validated domain, a plan gives a sound answer or a documented
+    # exit, and gives it in bounded time.
+    F_GRID = ("0.5000001", "0.51", "0.6", "0.75", "0.85", "0.9", "0.95", "0.99", "0.999999", "1.0")
+    P_L_GRID = ("0", "1e-15", "1e-9", "1e-6", "1e-3", "1e-2")
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "dephasing"])
+    @pytest.mark.parametrize("mode", ["full", "level"])
+    def test_answer_or_documented_exit(self, capsys, noise, mode):
+        for f, p_l in itertools.product(self.F_GRID, self.P_L_GRID):
+            argv = ["plan", "--f", f, "--p-l", p_l, "--noise", noise, "--restart-mode", mode]
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, argv)
+            assert time.perf_counter() - start < 2.0, argv
+            assert code in (0, 3), argv
+            if code == 3:
+                assert err.startswith(DOCUMENTED_EXIT_3), (argv, err)
+                continue
+            r = json.loads(out)
+            schedule = r["schedule"]
+            assert r["eps_fail"] <= r["delta_min"], argv
+            assert r["expected_pairs"] >= (schedule["n_b"] + 1) * (schedule["n_p"] + 1), argv
+            assert r["gamma"] >= r["eps_E"], argv
 
 
 class TestSweep:

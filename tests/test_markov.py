@@ -1,6 +1,8 @@
+import exact
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from exact import relative_error
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rnp import (
@@ -172,23 +174,31 @@ class TestBuildChain:
                 assert failure_probability(chain, min_pairs - 1) == 1.0
 
 
+#: (n_b, n_p, mode, F, budget, failure probability) pinned bit for bit.
+PINNED = [
+    (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043422),
+    (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879316),
+    (4, 5, RestartMode.FULL, 0.95, 300, 0.006465558487531614),
+    (4, 5, RestartMode.LEVEL, 0.90, 57, 0.10836701591526228),
+    (0, 4, RestartMode.FULL, 0.90, 57, 2.283830576317865e-09),
+    # The exact value is ~3e-352, below the smallest subnormal.
+    (0, 4, RestartMode.LEVEL, 0.95, 300, 0.0),
+]
+
+
 class TestFailureProbability:
     def test_zero_budget(self):
         assert failure_probability(chain_for(2, 2), 0) == 1.0
 
-    @pytest.mark.parametrize(
-        "n_b,n_p,mode,f,budget,eps",
-        [
-            (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043426),
-            (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879658),
-            (4, 5, RestartMode.FULL, 0.95, 300, 0.0064655584875311645),
-            (4, 5, RestartMode.LEVEL, 0.90, 57, 0.1083670159152621),
-            (0, 4, RestartMode.FULL, 0.90, 57, 2.2838306801276076e-09),
-            (0, 4, RestartMode.LEVEL, 0.95, 300, 1.1102230246251565e-16),
-        ],
-    )
+    @pytest.mark.parametrize("n_b,n_p,mode,f,budget,eps", PINNED)
     def test_pinned_values(self, n_b, n_p, mode, f, budget, eps):
         assert failure_probability(chain_for(n_b, n_p, mode, f=f), budget) == eps
+
+    @pytest.mark.parametrize("n_b,n_p,mode,f,budget,eps", PINNED)
+    def test_pinned_values_near_exact(self, n_b, n_p, mode, f, budget, eps):
+        # Within 1e-15 of the exact mass of the same chain, or its rounding.
+        want = exact.failure_mass(chain_for(n_b, n_p, mode, f=f), budget)
+        assert eps == float(want) or relative_error(eps, want) <= 1e-15
 
     def test_vanishes_for_large_budget(self):
         chain = chain_for(2, 2)
@@ -239,6 +249,27 @@ class TestExpectedPairs:
             assert total == pytest.approx(expect, abs=1e-6)
 
 
+def reference_scan(chain, target, cap):
+    """The step-by-step scan the budget solve used to run, kept as its reference.
+
+    Smallest step count with failure mass 1 - dist[done] <= target, and that
+    mass; (-1, last mass) when the cap is reached first.
+    """
+    n_states, done = chain.n_states, chain.done
+    dist = np.zeros(n_states, dtype=np.float64)
+    dist[chain.start] = 1.0
+    eps = 1.0 - dist[done]
+    if eps <= target:
+        return 0, eps
+    src, dst, p = chain.trans_src, chain.trans_dst, chain.trans_p
+    for step in range(1, cap + 1):
+        dist = np.bincount(dst, weights=p * dist[src], minlength=n_states)
+        eps = 1.0 - dist[done]
+        if eps <= target:
+            return step, eps
+    return -1, eps
+
+
 class TestSolveBudget:
     def test_all_success(self):
         chain = all_success_chain(2, 3)
@@ -257,8 +288,39 @@ class TestSolveBudget:
 
     def test_cap_error(self):
         chain = chain_for(2, 2)
-        with pytest.raises(BudgetCapError):
+        with pytest.raises(BudgetCapError, match=r"^no budget up to 10 reaches failure probability 1e-09$"):
             solve_budget(chain, 1e-9, cap=10)
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    def test_budget_at_the_cap(self, mode):
+        chain = chain_for(4, 5, mode)
+        budget = solve_budget(chain, 1e-6)
+        assert solve_budget(chain, 1e-6, cap=budget) == budget
+        with pytest.raises(BudgetCapError):
+            solve_budget(chain, 1e-6, cap=budget - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bit_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
+        phase_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
+        mode=st.sampled_from(list(RestartMode)),
+        log_target=st.floats(min_value=-6.0, max_value=-0.5),
+    )
+    def test_matches_reference_scan(self, bit_succ, phase_succ, mode, log_target):
+        chain = build_chain(trace_from_probs(bit_succ, phase_succ), mode)
+        assume(expected_pairs(chain) <= 100)
+        target = 10.0**log_target
+        budget, eps = markov._scan(chain, target, 10**5)
+        ref_budget, ref_eps = reference_scan(chain, target, 10**5)
+        if budget != ref_budget:
+            # Only a reference mass within its rounding of the target may flip.
+            boundary = reference_scan(chain, -1.0, min(budget, ref_budget))[1]
+            assert abs(boundary - target) <= 1e-9 * target
+            ref_eps = reference_scan(chain, -1.0, budget)[1]
+        assert eps <= target
+        # The reference's 1 - P(DONE) carries up to ~1 ulp of 1.0 per step.
+        assert abs(eps - ref_eps) <= 1e-7 * ref_eps + budget * np.finfo(float).eps
+        assert eps == failure_probability(chain, budget)
 
 
 def per_schedule_search(p, meas_flip, bound):
@@ -416,6 +478,17 @@ class TestPlan:
         assert cli.main(["plan", "--preset", preset]) == 0
         capsys.readouterr()
         assert count == calls
+
+    def test_noiseless_gates(self):
+        # 1 - p_phi_plus used to round this delta_min to 0, an unreachable target.
+        p = params(0.99, p_l=0.0)
+        meas = optimal_m(p, timings=self.TIMINGS)
+        r = plan(p, self.TIMINGS, meas)
+        assert (r.schedule.n_b, r.schedule.n_p) == (10, 15)
+        assert r.n_tot_budget == 19200
+        steps = exact.run_two_level(r.schedule, p, meas.error_prob)
+        assert relative_error(r.delta_min, exact.infidelity(steps[-1][2])) <= 1e-12
+        assert 0.0 < r.eps_fail <= r.delta_min < 1e-16
 
     def test_heavy_plan_scans_chain_once(self, monkeypatch):
         # The largest budget of the default sweep grid.

@@ -41,6 +41,10 @@ class TestBellDiagonalState:
         assert s.infidelity == pytest.approx(0.3, abs=1e-12)
         assert s.bit_error_mass == pytest.approx(0.2, abs=1e-12)
 
+    def test_infidelity_sums_error_populations(self):
+        s = BellDiagonalState(1.0, 1e-20, 2e-20, 3e-20)
+        assert s.infidelity == 1e-20 + 2e-20 + 3e-20
+
     def test_renormalizes_small_drift(self):
         drift = 1e-13
         s = BellDiagonalState(0.7 + drift, 0.1, 0.1, 0.1)

@@ -1,7 +1,9 @@
 
+import exact
 import numpy as np
 import pytest
-from hypothesis import given
+from exact import relative_error
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnp import (
@@ -144,6 +146,81 @@ class TestRunTwoLevel:
         trace = run_two_level(PumpSchedule(4, 4), params(0.9, p_l=1e-3), 1e-3)
         for step in trace.steps:
             assert abs(sum(step.state_after_success.as_tuple()) - 1.0) <= 1e-12
+
+
+#: Relative tolerance of a float population against its exact value.
+EXACT_TOL = 1e-12
+#: Below this an exact value may have underflowed; it is compared absolutely.
+TINY = 1e-280
+
+
+def assert_near_exact(got, want):
+    if want < TINY:
+        assert abs(got - want) <= TINY
+    else:
+        assert relative_error(got, want) <= EXACT_TOL
+
+
+def assert_step_near_exact(rec, success, populations):
+    assert_near_exact(rec.success_prob, success)
+    for k in (1, 2, 3):  # the error populations
+        assert_near_exact(rec.state_after_success.as_tuple()[k], populations[k])
+
+
+bell_states = (
+    st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0)), min_size=4, max_size=4)
+    .filter(lambda v: sum(v) > 0.0)
+    .map(lambda v: BellDiagonalState.from_vector([x / sum(v) for x in v]))
+)
+small_probs = st.one_of(st.just(0.0), st.floats(min_value=1e-15, max_value=0.05))
+
+
+class TestExactReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keeper=bell_states,
+        fresh=bell_states,
+        kind=st.sampled_from(list(StepKind)),
+        p_l=small_probs,
+        eps_m=small_probs,
+    )
+    def test_pump_step(self, keeper, fresh, kind, p_l, eps_m):
+        # Independent keeper and fresh inputs, zero populations (dephased
+        # pairs) and noiseless gates included.
+        try:
+            success, populations = exact.pump_step(keeper.as_tuple(), fresh.as_tuple(), kind, p_l, eps_m)
+        except ZeroDivisionError:
+            with pytest.raises(ValidationError):
+                pump_step(keeper, fresh, kind, p_l, eps_m)
+            return
+        assert_step_near_exact(pump_step(keeper, fresh, kind, p_l, eps_m), success, populations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
+        p_l=small_probs,
+        eps_m=small_probs,
+        noise=st.sampled_from(list(NoiseKind)),
+        n_b=st.integers(min_value=0, max_value=8),
+        n_p=st.integers(min_value=0, max_value=8),
+    )
+    def test_run_two_level(self, f, p_l, eps_m, noise, n_b, n_p):
+        p = params(f, p_l, noise)
+        trace = run_two_level(PumpSchedule(n_b, n_p), p, eps_m)
+        steps = exact.run_two_level(trace.schedule, p, eps_m)
+        for rec, (kind, success, populations) in zip(trace.steps, steps, strict=True):
+            assert rec.kind is kind
+            assert_step_near_exact(rec, success, populations)
+        final = steps[-1][2] if steps else exact.raw_pair(f, noise)
+        assert_near_exact(trace.infidelity, exact.infidelity(final))
+
+    def test_infidelity_below_1e_16(self):
+        # 1 - p_phi_plus rounds an infidelity this small to 0.
+        p = params(0.99)
+        trace = run_two_level(PumpSchedule(10, 15), p, 0.0)
+        want = exact.infidelity(exact.run_two_level(trace.schedule, p, 0.0)[-1][2])
+        assert TINY < want < 1e-16
+        assert relative_error(trace.infidelity, want) <= EXACT_TOL
 
 
 class TestRunStandard:
