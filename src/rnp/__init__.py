@@ -17,6 +17,7 @@ from .model import (
     RestartMode,
     StepKind,
     UnpurifiableError,
+    UselessLinkError,
     ValidationError,
 )
 from .measurement import exact_vote_error, measurement_error, measurement_time, optimal_m
@@ -60,6 +61,7 @@ __all__ = [
     "StepKind",
     "StepRecord",
     "UnpurifiableError",
+    "UselessLinkError",
     "ValidationError",
     "build_chain",
     "build_timings",

@@ -22,6 +22,7 @@ from .model import (
     PumpSchedule,
     RestartMode,
     UnpurifiableError,
+    UselessLinkError,
     ValidationError,
 )
 from .oracle import monte_carlo_pumping, simulate_pump_step
@@ -390,6 +391,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except BudgetCapError as exc:
         print(f"budget search failed: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except UselessLinkError as exc:
+        print(f"no useful link: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValidationError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)

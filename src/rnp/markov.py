@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import pumping
 from .measurement import optimal_m
 from .model import (
+    BellDiagonalState,
     BudgetCapError,
     ErrorParams,
     MeasurementPlan,
@@ -27,6 +29,7 @@ from .model import (
     PlanResult,
     PumpSchedule,
     RestartMode,
+    UselessLinkError,
     ValidationError,
 )
 from .pumping import PumpTrace, StepKind, StepRecord
@@ -86,6 +89,14 @@ class MarkovChain:
         np.add.at(t, (self.trans_src, self.trans_dst), self.trans_p)
         return t
 
+    @cached_property
+    def _transient_block(self) -> np.ndarray:
+        """Q: the transition probabilities among the transient states, built
+        once per chain and shared by the budget solve and ``expected_pairs``."""
+        q = self.transition_matrix()[: self.done, : self.done]
+        q.flags.writeable = False
+        return q
+
 
 def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
     """Assemble the absorbing chain from a deterministic pump trace.
@@ -136,12 +147,6 @@ def _clamp_probability(eps: float) -> float:
     return float(min(max(eps, 0.0), 1.0))
 
 
-def _transient_block(chain: MarkovChain) -> np.ndarray:
-    """Q: the transition probabilities among the transient states."""
-    n_t = chain.done
-    return chain.transition_matrix()[:n_t, :n_t]
-
-
 def _mass(powers: list[np.ndarray], start: np.ndarray, n: int) -> float:
     """Failure mass after n steps: the transient mass of e_start Q^n.
 
@@ -167,7 +172,7 @@ def _scan(chain: MarkovChain, target: float, cap: int) -> tuple[int, float]:
     """
     start = np.zeros(chain.done)
     start[chain.start] = 1.0
-    powers = [_transient_block(chain)]
+    powers = [chain._transient_block]
     while powers[-1][chain.start].sum() > target and 2 << (len(powers) - 1) <= cap:
         powers.append(powers[-1] @ powers[-1])
     n, v = 0, start
@@ -194,7 +199,7 @@ def expected_pairs(chain: MarkovChain) -> float:
     """Expected raw pairs until absorption (fundamental-matrix solve)."""
     if min(chain.step_success) <= 0.0:
         raise ValidationError("a step has zero success probability; the chain cannot absorb")
-    q = _transient_block(chain)
+    q = chain._transient_block
     t = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
     return float(t[chain.start])
 
@@ -221,42 +226,37 @@ def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpT
     """Trace of the schedule ``optimize_schedule`` picks."""
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
-    n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
     # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
-    # bit-purified pair of n_b is that of n_b - 1 plus one bit step, so the
-    # search extends one trace per n_b by one step per schedule.  These are
-    # the pump_step calls run_two_level makes, so the records are its trace.
+    # bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So the
+    # search makes ``bound`` bit steps on one row, then ``bound`` phase steps
+    # on the rows of every n_b at once.  Rows hold the populations a
+    # BellDiagonalState stores, so they are run_two_level's trace bit for bit.
     base = pumping.raw_pair(params)
-    bit_steps: list[StepRecord] = []
-    bit_purified = base
-    best_key: tuple[float, int, int] | None = None
-    best: PumpTrace | None = None
-    for n_b in n_b_range:
-        if n_b > 0:
-            rec = pumping.pump_step(bit_purified, base, StepKind.BIT, params.p_local, meas_flip)
-            bit_steps.append(rec)
-            bit_purified = rec.state_after_success
-        phase_steps: list[StepRecord] = []
-        keeper = bit_purified
-        for n_p in range(bound + 1):
-            sched = PumpSchedule(n_b=n_b, n_p=n_p)
-            if n_p > 0:
-                rec = pumping.pump_step(
-                    keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip
-                )
-                phase_steps.append(rec)
-                keeper = rec.state_after_success
-            key = (keeper.infidelity, n_b + n_p, n_p)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = PumpTrace(
-                    schedule=sched,
-                    steps=tuple(bit_steps + phase_steps),
-                    final_state=keeper,
-                    infidelity=keeper.infidelity,
-                )
-    assert best is not None
-    return best
+    rates = (params.p_local, meas_flip)
+    bit_steps = []  # (success, accepted keeper) of each step, one row
+    purified = [np.array([base.as_tuple()])]
+    for _ in range(0 if params.noise is NoiseKind.DEPHASING else bound):
+        bit_steps.append(pumping._step_rows(purified[-1], purified[0], StepKind.BIT, *rates))
+        purified.append(pumping._stored_rows(bit_steps[-1][1]))
+    keepers = [np.concatenate(purified)]  # row n_b holds schedule (n_b, n_p)
+    phase_steps = []
+    for _ in range(bound):
+        phase_steps.append(pumping._step_rows(keepers[-1], keepers[0], StepKind.PHASE, *rates))
+        keepers.append(pumping._stored_rows(phase_steps[-1][1]))
+
+    # Least infidelity; ties go to fewer total steps, then fewer phase steps.
+    pops = np.array(keepers)
+    errors = (pops[..., 1] + pops[..., 2]) + pops[..., 3]  # [n_p, n_b], as infidelity sums
+    n_p, n_b = min(zip(*np.nonzero(errors == errors.min())), key=lambda c: (c[0] + c[1], c[0]))
+    path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps[:n_b]]
+    path += [(StepKind.PHASE, s[n_b], k[n_b]) for s, k in phase_steps[:n_p]]
+    steps: list[StepRecord] = []
+    state = base
+    for kind, success, accepted in path:
+        after = BellDiagonalState.from_vector(accepted)
+        steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
+        state = after
+    return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
 
 
 def optimize_schedule(
@@ -305,6 +305,8 @@ def plan(
     t_robust_ent = expected * (timings.t_ent + timings.t_local + t_meas)
     t_c = t_robust_ent + 2.0 * timings.t_local + t_meas
     gamma = eps_e + 2.0 * params.p_local + 2.0 * meas.error_prob
+    if gamma > 1.0:
+        raise UselessLinkError(f"the effective gate error exceeds 1 at these inputs: {gamma!r}")
     p_cnot_raw = (1.0 - params.fidelity) + 2.0 * params.p_local + 2.0 * params.p_meas
 
     return PlanResult(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "ValidationError",
+    "UselessLinkError",
     "UnpurifiableError",
     "BudgetCapError",
     "NoiseKind",
@@ -36,6 +37,10 @@ class ValidationError(ValueError):
 
 class UnpurifiableError(ValidationError):
     """Raw fidelity at or below 1/2: entanglement pumping cannot improve it."""
+
+
+class UselessLinkError(ValidationError):
+    """The plan's effective gate error exceeds 1: the link carries no gate."""
 
 
 class BudgetCapError(RuntimeError):

@@ -51,43 +51,65 @@ __all__ = [
 ]
 
 
-def _pack(x1: int, z1: int, x2: int, z2: int) -> int:
-    return 8 * x1 + 4 * z1 + 2 * x2 + z2
+def _cnot_gather(kind: StepKind) -> np.ndarray:
+    """Old flag index of each new one: the CNOT's flag map, its own inverse."""
+    x1, z1, x2, z2 = (np.arange(16) >> shift & 1 for shift in (3, 2, 1, 0))
+    if kind is StepKind.BIT:
+        return 8 * x1 + 4 * (z1 ^ z2) + 2 * (x2 ^ x1) + z2
+    return 8 * (x1 ^ x2) + 4 * z1 + 2 * x2 + (z2 ^ z1)
 
 
-def _cnot_permutation(kind: StepKind) -> np.ndarray:
-    """Index map new_J = perm[old_J] for the bilateral CNOT of a step."""
-    perm = np.zeros(16, dtype=np.intp)
-    for j in range(16):
-        x1, z1, x2, z2 = (j >> 3) & 1, (j >> 2) & 1, (j >> 1) & 1, j & 1
-        if kind is StepKind.BIT:
-            jn = _pack(x1, z1 ^ z2, x2 ^ x1, z2)
-        else:
-            jn = _pack(x1 ^ x2, z1, x2, z2 ^ z1)
-        perm[j] = jn
-    return perm
-
-
-_PERM = {StepKind.BIT: _cnot_permutation(StepKind.BIT), StepKind.PHASE: _cnot_permutation(StepKind.PHASE)}
+_GATHER = {kind: _cnot_gather(kind) for kind in StepKind}
 
 # Measured parity bit per joint flag index: x2 for bit steps, z2 for phase.
-_PARITY = {
-    StepKind.BIT: np.array([(j >> 1) & 1 for j in range(16)], dtype=np.int8),
-    StepKind.PHASE: np.array([j & 1 for j in range(16)], dtype=np.int8),
-}
+_PARITY = {StepKind.BIT: np.arange(16) >> 1 & 1, StepKind.PHASE: np.arange(16) & 1}
 
 
-def _noise_matrix(weight: float) -> np.ndarray:
-    """XOR-convolution matrix of one register's two-qubit depolarizing hit.
+def _depolarize_twice(dist: np.ndarray, weight: float) -> np.ndarray:
+    """Both registers' depolarizing hits on rows of 16 flag probabilities.
 
     The 16 two-qubit Pauli patterns map one-to-one onto flag-flip masks;
-    identity keeps 1-weight, the 15 others share weight/15 each.  Every
-    flag j reaches each j^d exactly once, so the matrix is weight/15 off
-    the diagonal and 1-weight on it.
+    identity keeps 1-weight, the 15 others move weight/15 each.  So one hit
+    is (Mv)_j = a*v_j + c*sum(v) with a = 1 - 16*weight/15, c = weight/15.
+    M keeps sum(v), so two hits are M^2 v = a*(a*v + c*sum(v)) + c*sum(v).
     """
-    mat = np.full((16, 16), weight / 15.0)
-    np.fill_diagonal(mat, 1.0 - weight)
-    return mat
+    a = 1.0 - 16.0 * weight / 15.0
+    c_sum = (weight / 15.0) * dist.sum(axis=1, keepdims=True)
+    return a * (a * dist + c_sum) + c_sum
+
+
+def _step_rows(
+    keepers: np.ndarray, fresh: np.ndarray, kind: StepKind, p_local: float, meas_flip: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``pump_step``'s map on each row: keeper ``keepers[i]``, fresh ``fresh[i]``.
+
+    Returns each row's success probability and accepted keeper populations,
+    before ``BellDiagonalState`` renormalises them (``_stored_rows``).  Rows
+    reduce in one fixed order without BLAS, so a row's bits do not depend on
+    its batch.  Raises ValidationError if any row never succeeds.
+    """
+    if not isinstance(kind, StepKind):
+        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
+    if not (0.0 <= p_local <= 1.0) or not (0.0 <= meas_flip <= 1.0):
+        raise ValidationError("p_local and meas_flip must lie in [0, 1]")
+
+    n = len(keepers)
+    dist = (keepers[:, :, None] * fresh[:, None, :]).reshape(n, 16)  # J = 4*f1 + f2
+    # take() keeps the rows contiguous, so every row sums in the same order.
+    dist = _depolarize_twice(dist.take(_GATHER[kind], axis=1), p_local)
+
+    comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
+    weighted = np.where(_PARITY[kind] == 0, 1.0 - comp_flip, comp_flip) * dist
+    success = weighted.sum(axis=1)
+    if (success <= 0.0).any():
+        raise ValidationError("pump step has zero acceptance probability")
+    return success, weighted.reshape(n, 4, 4).sum(axis=2) / success[:, None]
+
+
+def _stored_rows(rows: np.ndarray) -> np.ndarray:
+    """What ``BellDiagonalState`` stores for each row of ``_step_rows``: the row
+    over its left-to-right sum.  M^2 v >= 0, so its clamp to 0 never applies."""
+    return rows / (((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3])[:, None]
 
 
 @dataclass(frozen=True)
@@ -142,33 +164,11 @@ def pump_step(
     measurements (one per register); ``p_local`` the depolarizing weight of
     each register's CNOT.
     """
-    if not isinstance(kind, StepKind):
-        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
-    if not (0.0 <= p_local <= 1.0) or not (0.0 <= meas_flip <= 1.0):
-        raise ValidationError("p_local and meas_flip must lie in [0, 1]")
-
-    q = np.array(target.as_tuple())
-    r = np.array(fresh.as_tuple())
-    dist = np.outer(q, r).reshape(16)  # J = 4*f1 + f2
-
-    noise = _noise_matrix(p_local)
-    permuted = np.zeros(16)
-    permuted[_PERM[kind]] = dist
-    dist = noise @ (noise @ permuted)
-
-    comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
-    accept_w = np.where(_PARITY[kind] == 0, 1.0 - comp_flip, comp_flip)
-    weighted = accept_w * dist
-    success = float(weighted.sum())
-    if success <= 0.0:
-        raise ValidationError("pump step has zero acceptance probability")
-    keeper = weighted.reshape(4, 4).sum(axis=1) / success
-    return StepRecord(
-        kind=kind,
-        state_before=target,
-        success_prob=min(success, 1.0),
-        state_after_success=BellDiagonalState.from_vector(keeper),
+    success, keeper = _step_rows(
+        np.array([target.as_tuple()]), np.array([fresh.as_tuple()]), kind, p_local, meas_flip
     )
+    after = BellDiagonalState.from_vector(keeper[0])
+    return StepRecord(kind, target, min(float(success[0]), 1.0), after)
 
 
 def run_two_level(

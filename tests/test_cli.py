@@ -21,30 +21,30 @@ SMALL_SWEEP = [
 #: Exact `rnp plan --preset PRESET --restart-mode MODE` stdout.
 FROZEN_PLANS = {
     ("ion-depolarizing", "full"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061347e-06, '
-        '"n_tot_budget": 703, "expected_pairs": 76.84246740177304, '
-        '"eps_fail": 4.5075320800481716e-06, "eps_E": 9.094580901109517e-06, '
-        '"t_robust_ent": 0.00024009306274727315, "t_C": 0.00024295691841215005, '
-        '"gamma": 3.480071084503627e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.5870488210613475e-06, '
+        '"n_tot_budget": 703, "expected_pairs": 76.84246740177291, '
+        '"eps_fail": 4.507532080048091e-06, "eps_E": 9.09458090110944e-06, '
+        '"t_robust_ent": 0.00024009306274727274, "t_C": 0.00024295691841214964, '
+        '"gamma": 3.4800710845036194e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("ion-depolarizing", "level"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061347e-06, '
-        '"n_tot_budget": 83, "expected_pairs": 36.46832907448627, '
-        '"eps_fail": 4.249125227480353e-06, "eps_E": 8.8361740485417e-06, '
-        '"t_robust_ent": 0.00011394471204300254, "t_C": 0.00011680856770787946, '
-        '"gamma": 3.4542303992468455e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.5870488210613475e-06, '
+        '"n_tot_budget": 83, "expected_pairs": 36.46832907448625, '
+        '"eps_fail": 4.24912522748031e-06, "eps_E": 8.836174048541656e-06, '
+        '"t_robust_ent": 0.00011394471204300247, "t_C": 0.00011680856770787939, '
+        '"gamma": 3.454230399246841e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "full"): (
         '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
-        '"n_tot_budget": 43, "expected_pairs": 7.279689205597537, '
-        '"eps_fail": 1.5573806196242627e-06, "eps_E": 3.5904415579699483e-06, '
-        '"t_robust_ent": 2.2745272715954565e-05, "t_C": 2.5609128380831473e-05, '
-        '"gamma": 2.9296571501896702e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '"n_tot_budget": 43, "expected_pairs": 7.279689205597535, '
+        '"eps_fail": 1.5573806196242555e-06, "eps_E": 3.590441557969941e-06, '
+        '"t_robust_ent": 2.2745272715954562e-05, "t_C": 2.560912838083147e-05, '
+        '"gamma": 2.9296571501896695e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "level"): (
         '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
         '"n_tot_budget": 12, "expected_pairs": 6.318541196199488, '
-        '"eps_fail": 1.0104295272640845e-06, "eps_E": 3.04349046560977e-06, '
+        '"eps_fail": 1.0104295272640828e-06, "eps_E": 3.043490465609768e-06, '
         '"t_robust_ent": 1.974218110356189e-05, "t_C": 2.2606036768438798e-05, '
         '"gamma": 2.874962040953652e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
@@ -52,8 +52,8 @@ FROZEN_PLANS = {
 
 #: md5 of the default `rnp sweep --restart-mode MODE` CSV.
 FROZEN_SWEEP_MD5 = {
-    "full": "fa9f71f1532d85415544b398561862d7",
-    "level": "cfac18dddfa4b809e90314743404546c",
+    "full": "f743fe09a65db2529c18411486372bcb",
+    "level": "d0f768e5e0fab0d59d3c313fbeedff5e",
 }
 
 
@@ -132,6 +132,13 @@ class TestPlan:
         assert code == 3
         assert "unpurifiable fidelity" in err
 
+    def test_useless_link_exits_3(self, capsys):
+        # Every flag is valid, but the composed effective gate error is 1.008.
+        argv = ["plan", "--noise", "dephasing", "--f", "0.51", "--p-l", "1e-2"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("no useful link: the effective gate error exceeds 1 at these inputs: 1.008")
+
     def test_plan_reproducible(self, capsys):
         code1, out1, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
         code2, out2, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
@@ -142,7 +149,7 @@ class TestPlan:
 #: The exit-3 messages the README documents for valid flags above F = 1/2.
 DOCUMENTED_EXIT_3 = (
     "budget search failed: no budget up to 1000000 reaches failure probability ",
-    "invalid parameter: gamma out of range ",
+    "no useful link: the effective gate error exceeds 1 at these inputs: ",
 )
 
 

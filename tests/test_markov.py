@@ -126,6 +126,17 @@ def trace_from_probs(bit_succ, phase_succ):
     )
 
 
+def counting_kernel(calls):
+    """pumping._step_rows, appending each call's row count to ``calls``."""
+    real = pumping._step_rows
+
+    def counting(keepers, *args):
+        calls.append(len(keepers))
+        return real(keepers, *args)
+
+    return counting
+
+
 step_probs = st.lists(
     st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
     max_size=6,
@@ -176,11 +187,11 @@ class TestBuildChain:
 
 #: (n_b, n_p, mode, F, budget, failure probability) pinned bit for bit.
 PINNED = [
-    (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043422),
-    (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879316),
-    (4, 5, RestartMode.FULL, 0.95, 300, 0.006465558487531614),
-    (4, 5, RestartMode.LEVEL, 0.90, 57, 0.10836701591526228),
-    (0, 4, RestartMode.FULL, 0.90, 57, 2.283830576317865e-09),
+    (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043425),
+    (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879255),
+    (4, 5, RestartMode.FULL, 0.95, 300, 0.006465558487531565),
+    (4, 5, RestartMode.LEVEL, 0.90, 57, 0.10836701591526329),
+    (0, 4, RestartMode.FULL, 0.90, 57, 2.283830576317882e-09),
     # The exact value is ~3e-352, below the smallest subnormal.
     (0, 4, RestartMode.LEVEL, 0.95, 300, 0.0),
 ]
@@ -336,6 +347,41 @@ def per_schedule_search(p, meas_flip, bound):
     return best[1], best[0][0]
 
 
+def prefix_sharing_search(params, meas_flip, bound):
+    """The per-step search the batched one replaced, kept as its reference.
+
+    It extends one bit-purified pair per n_b and one keeper per n_p with a
+    pump_step each, keeping the first schedule with the least key.
+    """
+    n_b_range = [0] if params.noise is NoiseKind.DEPHASING else range(bound + 1)
+    base = pumping.raw_pair(params)
+    bit_steps = []
+    bit_purified = base
+    best_key = best = None
+    for n_b in n_b_range:
+        if n_b > 0:
+            rec = pumping.pump_step(bit_purified, base, StepKind.BIT, params.p_local, meas_flip)
+            bit_steps.append(rec)
+            bit_purified = rec.state_after_success
+        phase_steps = []
+        keeper = bit_purified
+        for n_p in range(bound + 1):
+            if n_p > 0:
+                rec = pumping.pump_step(keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip)
+                phase_steps.append(rec)
+                keeper = rec.state_after_success
+            key = (keeper.infidelity, n_b + n_p, n_p)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = PumpTrace(
+                    schedule=PumpSchedule(n_b=n_b, n_p=n_p),
+                    steps=tuple(bit_steps + phase_steps),
+                    final_state=keeper,
+                    infidelity=keeper.infidelity,
+                )
+    return best
+
+
 class TestOptimizeSchedule:
     def test_perfect_inputs_need_no_pumping(self):
         sched, delta = optimize_schedule(params(1.0, p_l=0.0), 0.0, bound=6)
@@ -369,27 +415,35 @@ class TestOptimizeSchedule:
     def test_matches_per_schedule_search(self, f, p_l, eps_m, noise, bound):
         p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
         assert optimize_schedule(p, eps_m, bound) == per_schedule_search(p, eps_m, bound)
+        assert _search_schedule(p, eps_m, bound) == prefix_sharing_search(p, eps_m, bound)
 
     def test_matches_per_schedule_search_at_default_bound(self):
         p = params(0.95, p_l=1e-6)
         assert optimize_schedule(p, 1.2e-5, 15) == per_schedule_search(p, 1.2e-5, 15)
+        assert _search_schedule(p, 1.2e-5, 15) == prefix_sharing_search(p, 1.2e-5, 15)
 
-    @pytest.mark.parametrize("noise,calls", [(NoiseKind.DEPOLARIZING, 255), (NoiseKind.DEPHASING, 15)])
-    def test_one_pump_step_per_schedule(self, monkeypatch, noise, calls):
-        # bound bit steps, then bound phase steps for each n_b; looked up
-        # through rnp.pumping, where the benchmark's tracer patches it
-        count = 0
-        real = pumping.pump_step
+    def test_ties_at_underflow_match_reference(self):
+        # Deep schedules at F = 1 - 1e-13 underflow to infidelity 0.0; the
+        # tie goes to the fewest total steps.
+        p = ErrorParams(p_local=0.0, p_init=0.05, p_meas=0.05, fidelity=1 - 1e-13)
+        trace = _search_schedule(p, 0.0, 26)
+        assert (trace.schedule, trace.infidelity) == (PumpSchedule(24, 26), 0.0)
+        assert trace == prefix_sharing_search(p, 0.0, 26)
 
-        def counting(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pumping, "pump_step", counting)
+    @pytest.mark.parametrize(
+        "noise,calls,rows", [(NoiseKind.DEPOLARIZING, 30, 255), (NoiseKind.DEPHASING, 15, 15)]
+    )
+    def test_one_pump_step_per_schedule(self, monkeypatch, noise, calls, rows):
+        # One row step per schedule but (0, 0), batched into kernel calls:
+        # bound bit steps on one row, then bound phase steps on every n_b's
+        # row at once.  Dephased pairs keep n_b = 0.  The kernel is looked up
+        # through rnp.pumping.
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         p = ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=0.95, noise=noise)
         optimize_schedule(p, 1.2e-5, bound=15)
-        assert count == calls
+        assert len(batches) == calls
+        assert sum(batches) == rows
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -463,21 +517,29 @@ class TestPlan:
         assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
         assert r.expected_pairs == expected_pairs(chain)
 
-    @pytest.mark.parametrize("preset,calls", [("ion-depolarizing", 255), ("nv-dephasing", 15)])
+    @pytest.mark.parametrize("preset,calls", [("ion-depolarizing", 30), ("nv-dephasing", 15)])
     def test_plan_reuses_search_trace(self, monkeypatch, capsys, preset, calls):
-        # Only the search's pump steps: the chosen schedule is not traced again.
-        count = 0
-        real = pumping.pump_step
-
-        def counting(*args, **kwargs):
-            nonlocal count
-            count += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pumping, "pump_step", counting)
+        # Only the search's kernel calls: the chosen schedule is not traced again.
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         assert cli.main(["plan", "--preset", preset]) == 0
         capsys.readouterr()
-        assert count == calls
+        assert len(batches) == calls
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    def test_plan_builds_transient_block_once(self, monkeypatch, mode):
+        # The budget solve and expected_pairs share one Q.
+        builds = []
+        real = MarkovChain.transition_matrix
+
+        def counting(chain):
+            builds.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(MarkovChain, "transition_matrix", counting)
+        p = params(0.95, p_l=1e-6)
+        plan(p, self.TIMINGS, optimal_m(p, timings=self.TIMINGS), restart_mode=mode)
+        assert len(builds) == 1
 
     def test_noiseless_gates(self):
         # 1 - p_phi_plus used to round this delta_min to 0, an unreachable target.

@@ -20,7 +20,7 @@ from rnp import (
     run_standard,
     run_two_level,
 )
-from rnp.pumping import _noise_matrix
+from rnp.pumping import _depolarize_twice, _step_rows, _stored_rows
 
 
 def params(f=0.95, p_l=0.0, noise=NoiseKind.DEPOLARIZING):
@@ -58,8 +58,17 @@ def loop_noise_matrix(weight):
 
 class TestNoiseMatrix:
     @pytest.mark.parametrize("weight", [0.0, 1e-300, 1e-6, 0.3, 1.0])
-    def test_matches_loop_reference_bitwise(self, weight):
-        assert np.array_equal(_noise_matrix(weight), loop_noise_matrix(weight))
+    def test_closed_form_matches_loop_reference(self, weight):
+        # Two hits of the closed form against the loop-built matrix applied
+        # twice, on 2,000 random flag distributions with some zero entries.
+        rng = np.random.default_rng(11)
+        v = rng.random((2000, 16)) * (rng.random((2000, 16)) < 0.8)
+        mat = loop_noise_matrix(weight)
+        want = (mat @ mat @ v.T).T
+        got = _depolarize_twice(v, weight)
+        nonzero = want != 0.0
+        assert np.array_equal(got[~nonzero], want[~nonzero])
+        assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 4e-15
 
 
 class TestPumpStep:
@@ -221,6 +230,38 @@ class TestExactReference:
         want = exact.infidelity(exact.run_two_level(trace.schedule, p, 0.0)[-1][2])
         assert TINY < want < 1e-16
         assert relative_error(trace.infidelity, want) <= EXACT_TOL
+
+
+class TestStepKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(bell_states, bell_states), min_size=1, max_size=17),
+        kind=st.sampled_from(list(StepKind)),
+        p_l=st.one_of(small_probs, st.floats(min_value=0.0, max_value=1.0)),
+        eps_m=small_probs,
+    )
+    def test_each_row_is_pump_step(self, rows, kind, p_l, eps_m):
+        # Bitwise, whatever the batch around the row.
+        keepers, fresh = (np.array([s.as_tuple() for s in col]) for col in zip(*rows))
+        try:
+            recs = [pump_step(k, f, kind, p_l, eps_m) for k, f in rows]
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                _step_rows(keepers, fresh, kind, p_l, eps_m)
+            return
+        success, after = _step_rows(keepers, fresh, kind, p_l, eps_m)
+        assert np.array_equal(np.minimum(success, 1.0), [r.success_prob for r in recs])
+        assert np.array_equal(_stored_rows(after), [r.state_after_success.as_tuple() for r in recs])
+
+    def test_one_zero_acceptance_row_raises(self):
+        # A bit-flipped keeper against a perfect fresh pair always reads odd
+        # parity; the first row alone is an ordinary step.
+        good = raw_pair(params(0.9)).as_tuple()
+        keepers = np.array([good, (0.0, 0.0, 1.0, 0.0)])
+        fresh = np.array([good, PERFECT.as_tuple()])
+        _step_rows(keepers[:1], fresh[:1], StepKind.BIT, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="zero acceptance"):
+            _step_rows(keepers, fresh, StepKind.BIT, 0.0, 0.0)
 
 
 class TestRunStandard:
