@@ -8,6 +8,7 @@ no locale), so identical flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,19 +220,21 @@ def _cmd_sweep(args) -> int:
     f_grid = np.linspace(args.f_min, args.f_max, args.f_points)
     timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
 
-    def row(p_l, f):
-        params = ErrorParams(
-            p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise
-        )
-        meas = optimal_m(params, timings=timings)
-        r = plan(params, timings, meas, bound=args.bound, restart_mode=args.restart_mode)
-        return (
-            f"{float(p_l)!r},{float(f)!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
-            f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
-            f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
-        )
-
-    rows = [row(p_l, f) for p_l in p_l_grid for f in f_grid]
+    rows = []
+    for p_l in p_l_grid:
+        meas = None  # the readout plan depends on p_init, p_meas and p_local, not on F
+        for f in f_grid:
+            params = ErrorParams(
+                p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise
+            )
+            if meas is None:
+                meas = optimal_m(params, timings=timings)
+            r = plan(params, timings, meas, bound=args.bound, restart_mode=args.restart_mode)
+            rows.append(
+                f"{float(p_l)!r},{float(f)!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
+                f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
+                f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
+            )
 
     header = "p_L,F,noise,n_b,n_p,delta_min,eps_fail,eps_E,n_tot_budget,expected_pairs,t_C_s,gamma"
     text = "\n".join([header, *rows]) + "\n"
@@ -318,7 +321,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rnp` parser, built on first use and shared for the process.
+
+    Every `main` call parses with this one object; each parse returns a
+    fresh namespace, so nothing a command sets on its `args` reaches the
+    next call.  `set_defaults(func=...)` binds the `_cmd_*` functions once
+    per process: a `_cmd_*` replaced after the first build is not called.
+    """
     parser = argparse.ArgumentParser(
         prog="rnp",
         description="Planner for robust entanglement generation between few-qubit registers.",

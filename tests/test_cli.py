@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -204,6 +205,21 @@ class TestSweep:
         assert cli.main(SMALL_SWEEP + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_readout_plan_once_per_p_l(self, capsys, monkeypatch):
+        # optimal_m depends on p_init, p_meas and p_local, not on F.
+        calls = []
+        real = cli.optimal_m
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "optimal_m", counting)
+        code, out, _ = run_cli(capsys, SMALL_SWEEP)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3 * 2
+        assert len(calls) == 3
+
     def test_unwritable_path_exits_4(self, capsys):
         code, _, err = run_cli(capsys, SMALL_SWEEP + ["--out", "/nonexistent-dir/x.csv"])
         assert code == 4
@@ -260,3 +276,50 @@ class TestFrozenOutputs:
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--restart-mode", mode, "--out", str(out)]) == 0
         assert hashlib.md5(out.read_bytes()).hexdigest() == FROZEN_SWEEP_MD5[mode]
+
+
+class TestSharedParser:
+    # main parses with one parser per process; no call may see another's state.
+    def test_parser_is_shared(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_builds_no_parser_after_the_first(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *a, **kw):
+            built.append(kw.get("prog"))
+            real_init(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert cli.main(["measure", "--json"]) == 0
+        assert len(built) == 6  # the top-level parser and its five subcommands
+        built.clear()
+        calls = (
+            ["plan", "--preset", "nv-dephasing"],
+            SMALL_SWEEP + ["--out", str(tmp_path / "s.csv")],
+            ["measure", "--p-l", "1e-4", "--json"],
+            ["verify", "--trials", "200"],
+            ["plan", "--f", "0.9"],
+        )
+        for argv in calls:
+            cli.main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_no_state_leaks_across_calls(self, capsys):
+        # The reference for `plan --f 0.9` comes from a parser of its own.
+        args = cli.build_parser.__wrapped__().parse_args(["plan", "--f", "0.9"])
+        assert args.func(args) == 0
+        fresh_f09 = capsys.readouterr().out
+        code, out, _ = run_cli(capsys, ["plan", "--preset", "nv-dephasing", "--restart-mode", "level"])
+        assert (code, out) == (0, FROZEN_PLANS["nv-dephasing", "level"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plan", "--f", "2"])
+        assert exc.value.code == 2
+        assert "--f" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, ["plan", "--f", "0.9"])
+        assert (code, out) == (0, fresh_f09)
+        code, out, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing", "--restart-mode", "full"])
+        assert (code, out) == (0, FROZEN_PLANS["ion-depolarizing", "full"])
