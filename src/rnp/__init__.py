@@ -36,8 +36,8 @@ from .markov import (
     build_chain,
     expected_pairs,
     failure_probability,
-    optimize_schedule,
     plan,
+    search_schedule,
     solve_budget,
 )
 from .oracle import DensityMatrix, MonteCarloResult, monte_carlo_pumping, simulate_pump_step
@@ -76,12 +76,12 @@ __all__ = [
     "monte_carlo_pumping",
     "optical_times",
     "optimal_m",
-    "optimize_schedule",
     "plan",
     "pump_step",
     "raw_pair",
     "run_standard",
     "run_two_level",
+    "search_schedule",
     "simulate_pump_step",
     "solve_budget",
     "__version__",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,61 +37,38 @@ EXIT_FLAGS = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
-#: Headline hardware scenario: (t_local, tau, eta, purcell_c) and the
-#: imperfection tuple (1-F, p_init, p_meas, p_local) = (5%, 5%, 5%, 1e-6).
+#: Headline hardware scenarios: each sets the noise model and the default
+#: memory time.  The other flags' defaults are the headline point: (t_local,
+#: tau, eta, purcell_c) and (1-F, p_init, p_meas, p_local) = (5%, 5%, 5%, 1e-6).
 PRESETS = {
     "ion-depolarizing": {"noise": NoiseKind.DEPOLARIZING, "t_mem": 10.0},
     "nv-dephasing": {"noise": NoiseKind.DEPHASING, "t_mem": 1.0},
 }
-_PRESET_COMMON = {
-    "f": 0.95,
-    "p_i": 0.05,
-    "p_m": 0.05,
-    "p_l": 1e-6,
-    "tau": 10e-9,
-    "eta": 0.2,
-    "cavity_c": 10.0,
-    "t_local": 0.1e-6,
-}
 
 
-def _prob(flag: str):
-    def parse(text: str) -> float:
-        try:
-            v = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects a number, got {text!r}")
-        if not (0.0 <= v <= 1.0) or v != v:
-            raise argparse.ArgumentTypeError(f"{flag} must lie in [0, 1], got {text}")
-        return v
+def _number(parse, in_range, rule: str):
+    """Flag-type factory: ``factory(flag)`` parses a flag's text with ``parse``
+    and rejects values outside ``in_range`` (NaN included), naming the flag."""
+    noun = "an integer" if parse is int else "a number"
 
-    return parse
+    def factory(flag: str):
+        def convert(text: str):
+            try:
+                v = parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{flag} expects {noun}, got {text!r}")
+            if not in_range(v):
+                raise argparse.ArgumentTypeError(f"{flag} {rule}, got {text}")
+            return v
 
+        return convert
 
-def _positive(flag: str):
-    def parse(text: str) -> float:
-        try:
-            v = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects a number, got {text!r}")
-        if not (v > 0.0) or v != v or v == float("inf"):
-            raise argparse.ArgumentTypeError(f"{flag} must be positive and finite, got {text}")
-        return v
-
-    return parse
+    return factory
 
 
-def _nonneg_int(flag: str):
-    def parse(text: str) -> int:
-        try:
-            v = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects an integer, got {text!r}")
-        if v < 0:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= 0, got {text}")
-        return v
-
-    return parse
+_prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
 
 
 def _add_error_flags(p: argparse.ArgumentParser) -> None:
@@ -181,27 +159,19 @@ def _cmd_pump(args) -> int:
     return EXIT_OK
 
 
-def _plan_for(args) -> tuple:
+def _cmd_plan(args) -> int:
+    if args.preset:
+        # A preset picks the noise model and the memory time; flags keep the rest.
+        preset = PRESETS[args.preset]
+        args.noise = preset["noise"]
+        if args.t_mem is None:
+            args.t_mem = preset["t_mem"]
     params = ErrorParams(
         p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=args.f, noise=args.noise
     )
     timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
     meas = optimal_m(params, timings=timings)
-    result = plan(
-        params, timings, meas, bound=args.bound, restart_mode=args.restart_mode
-    )
-    return result, timings
-
-
-def _cmd_plan(args) -> int:
-    if args.preset:
-        preset = PRESETS[args.preset]
-        for key, value in _PRESET_COMMON.items():
-            setattr(args, key, value)
-        args.noise = preset["noise"]
-        if args.t_mem is None:
-            args.t_mem = preset["t_mem"]
-    result, timings = _plan_for(args)
+    result = plan(params, timings, meas, bound=args.bound, restart_mode=args.restart_mode)
     # stdout carries exactly the PlanResult JSON; advisory output goes to stderr
     if timings.t_mem is not None:
         check = memory_check(result.t_C, timings.t_mem)

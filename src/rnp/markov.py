@@ -39,7 +39,7 @@ __all__ = [
     "build_chain",
     "failure_probability",
     "expected_pairs",
-    "optimize_schedule",
+    "search_schedule",
     "solve_budget",
     "plan",
     "BUDGET_CAP",
@@ -90,12 +90,22 @@ class MarkovChain:
         return t
 
     @cached_property
-    def _transient_block(self) -> np.ndarray:
-        """Q: the transition probabilities among the transient states, built
-        once per chain and shared by the budget solve and ``expected_pairs``."""
+    def _powers(self) -> list[np.ndarray]:
+        """[Q, Q^2, Q^4, ...]: Q is the transition block among the transient
+        states.  Built once per chain; ``_power`` grows it in place, and the
+        budget solve, the failure mass and ``expected_pairs`` share it.  So
+        threads must not grow one chain's powers concurrently."""
         q = self.transition_matrix()[: self.done, : self.done]
         q.flags.writeable = False
-        return q
+        return [q]
+
+    def _power(self, k: int) -> np.ndarray:
+        """Q^(2^k), squaring the largest cached power until it exists."""
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append(powers[-1] @ powers[-1])
+            powers[-1].flags.writeable = False
+        return powers[k]
 
 
 def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
@@ -147,83 +157,75 @@ def _clamp_probability(eps: float) -> float:
     return float(min(max(eps, 0.0), 1.0))
 
 
-def _mass(powers: list[np.ndarray], start: np.ndarray, n: int) -> float:
+def _start_row(chain: MarkovChain) -> np.ndarray:
+    row = np.zeros(chain.done)
+    row[chain.start] = 1.0
+    return row
+
+
+def _mass(chain: MarkovChain, n: int) -> float:
     """Failure mass after n steps: the transient mass of e_start Q^n.
 
     Q^n is applied as the powers Q^(2^k) of n's set bits, highest bit first.
     This one evaluation order gives every failure mass the program reports.
+    The mass is the transient mass, never 1 - P(DONE), so it carries no
+    cancellation.
     """
-    v = start
+    v = _start_row(chain)
     for k in reversed(range(n.bit_length())):
         if n >> k & 1:
-            v = v @ powers[k]
+            v = v @ chain._power(k)
     return float(v.sum())
-
-
-def _scan(chain: MarkovChain, target: float, cap: int) -> tuple[int, float]:
-    """Smallest step count n <= cap whose failure mass is at most ``target``
-    (which must be below 1), and that mass.
-
-    Returns (-1, mass after ``cap`` steps) when no such n exists.  The failure
-    mass is the transient mass, never 1 - P(DONE), so it carries no
-    cancellation.  Q is squared until the mass at 2^k reaches the target or
-    2^(k+1) passes the cap; a binary descent over those powers then finds the
-    largest n whose mass is above the target, and n + 1 is the answer.
-    """
-    start = np.zeros(chain.done)
-    start[chain.start] = 1.0
-    powers = [chain._transient_block]
-    while powers[-1][chain.start].sum() > target and 2 << (len(powers) - 1) <= cap:
-        powers.append(powers[-1] @ powers[-1])
-    n, v = 0, start
-    for k in reversed(range(len(powers))):
-        if n + (1 << k) <= cap:
-            w = v @ powers[k]
-            if w.sum() > target:
-                n, v = n + (1 << k), w
-    if n == cap:
-        return -1, _mass(powers, start, cap)
-    return n + 1, _mass(powers, start, n + 1)
 
 
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
-    # No mass is at most -1, so the scan evaluates the mass at ``budget``.
-    _, eps = _scan(chain, -1.0, int(budget))
-    return _clamp_probability(eps)
+    return _clamp_probability(_mass(chain, int(budget)))
 
 
 def expected_pairs(chain: MarkovChain) -> float:
     """Expected raw pairs until absorption (fundamental-matrix solve)."""
     if min(chain.step_success) <= 0.0:
         raise ValidationError("a step has zero success probability; the chain cannot absorb")
-    q = chain._transient_block
+    q = chain._power(0)
     t = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
     return float(t[chain.start])
 
 
-def _scan_budget(chain: MarkovChain, delta_min: float, cap: int) -> tuple[int, float]:
-    """Smallest budget with failure probability at most ``delta_min``, and that
-    budget's unclamped failure mass, from one scan of the chain."""
+def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) -> int:
+    """Smallest budget whose failure probability is at most ``delta_min``.
+
+    Q is squared until the mass at 2^k reaches ``delta_min`` or 2^(k+1)
+    passes the cap; a binary descent over those powers then finds the
+    largest n whose mass is above ``delta_min``, and n + 1 is the answer.
+    ``failure_probability`` at that budget reuses the same powers.
+    """
     if not (0.0 <= delta_min < 1.0) or not math.isfinite(delta_min):
         raise ValidationError(f"delta_min must lie in [0, 1), got {delta_min!r}")
-    budget, eps = _scan(chain, float(delta_min), int(cap))
-    if budget < 0:
-        raise BudgetCapError(
-            f"no budget up to {cap} reaches failure probability {delta_min!r}"
-        )
-    return int(budget), eps
+    target, limit = float(delta_min), int(cap)
+    top = 0
+    while chain._power(top)[chain.start].sum() > target and 2 << top <= limit:
+        top += 1
+    n, v = 0, _start_row(chain)
+    for k in reversed(range(top + 1)):
+        if n + (1 << k) <= limit:
+            w = v @ chain._power(k)
+            if w.sum() > target:
+                n, v = n + (1 << k), w
+    if n == limit:
+        raise BudgetCapError(f"no budget up to {cap} reaches failure probability {delta_min!r}")
+    return n + 1
 
 
-def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) -> int:
-    """Smallest budget whose failure probability is at most ``delta_min``."""
-    return _scan_budget(chain, delta_min, cap)[0]
+def search_schedule(params: ErrorParams, meas_flip: float, bound: int = 15) -> PumpTrace:
+    """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity.
 
-
-def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpTrace:
-    """Trace of the schedule ``optimize_schedule`` picks."""
+    Ties break toward fewer total steps, then fewer phase steps.  Dephased
+    raw pairs carry no bit errors, so their search is restricted to the
+    one-level (n_b = 0) row.
+    """
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
     # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
@@ -259,21 +261,6 @@ def _search_schedule(params: ErrorParams, meas_flip: float, bound: int) -> PumpT
     return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
 
 
-def optimize_schedule(
-    params: ErrorParams,
-    meas_flip: float,
-    bound: int = 15,
-) -> tuple[PumpSchedule, float]:
-    """Exhaustively minimize the pumped infidelity over (n_b, n_p).
-
-    Ties break toward fewer total steps, then fewer phase steps.  Dephased
-    raw pairs carry no bit errors, so their search is restricted to the
-    one-level (n_b = 0) row.
-    """
-    trace = _search_schedule(params, meas_flip, bound)
-    return trace.schedule, trace.infidelity
-
-
 def plan(
     params: ErrorParams,
     timings: PhysicalTimings,
@@ -293,11 +280,11 @@ def plan(
     if meas.duration_s is None:
         raise ValidationError("plan requires a MeasurementPlan with a duration")
 
-    trace = _search_schedule(params, meas.error_prob, bound)
+    trace = search_schedule(params, meas.error_prob, bound)
     schedule, delta_min = trace.schedule, trace.infidelity
     chain = build_chain(trace, restart_mode)
-    budget, eps = _scan_budget(chain, delta_min, BUDGET_CAP)
-    eps_fail = _clamp_probability(eps)
+    budget = solve_budget(chain, delta_min)
+    eps_fail = failure_probability(chain, budget)
     expected = expected_pairs(chain)
 
     eps_e = eps_fail + delta_min

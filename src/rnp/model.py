@@ -177,11 +177,6 @@ class BellDiagonalState:
         """Total population of the bit-flipped (Psi) components."""
         return self.p_psi_plus + self.p_psi_minus
 
-    @property
-    def phase_error_mass(self) -> float:
-        """Population of the phase-flipped components (Phi- and Psi-)."""
-        return self.p_phi_minus + self.p_psi_minus
-
 
 @dataclass(frozen=True)
 class PumpSchedule:

@@ -84,10 +84,6 @@ class DensityMatrix:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "entries", rho)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def _embed(op: np.ndarray, qubits: tuple[int, ...], n: int = 4) -> np.ndarray:
     """Lift an operator on the given qubits to the full n-qubit space."""

@@ -1,0 +1,66 @@
+"""The library surface the benchmark in perfbench/ calls.
+
+perfbench changes only in its own commits, so a program change that breaks
+a name, signature or return type it relies on would show only when the
+benchmark runs.  These tests run its warm-up and one operation of each CLI
+kind through its own modules, loaded read-only, and check every exported
+name.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import rnp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """perfbench/<name>.py as a module, read from source (no bytecode is written)."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+workloads = load("workloads")
+check = load("check")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_warm_up(workload):
+    workloads.warm_up(workload)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        workloads.PRESET_PLANS[1],
+        workloads.sweep_argv(workloads.SWEEP_P_L[0], workloads.SWEEP_F[0], workloads.SWEEP_F[-1]),
+    ],
+    ids=["plan", "sweep"],
+)
+def test_operation_passes_the_benchmark_check(tmp_path, op):
+    rc, text = workloads.run_op(op, str(tmp_path / "op.csv"))
+    # Raises check.Mismatch on a wrong exit code, shape or value; None means
+    # the operation had no reference to compare with.
+    assert check.check(op, rc, text, check.load_refs()) is not None
+
+
+@pytest.mark.parametrize(
+    "module", ["rnp", "rnp.model", "rnp.measurement", "rnp.timing", "rnp.pumping", "rnp.markov", "rnp.oracle"]
+)
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_stage_functions_exported():
+    for name in ("search_schedule", "build_chain", "solve_budget", "failure_probability", "expected_pairs", "plan"):
+        assert name in rnp.__all__
+        assert name in rnp.markov.__all__

@@ -85,6 +85,44 @@ class TestMeasure:
         assert exc.value.code == 2
         assert "--p-m" in capsys.readouterr().err
 
+    def test_text_output(self, capsys):
+        code, out, err = run_cli(capsys, ["measure"])
+        _, json_out, _ = run_cli(capsys, ["measure", "--json"])
+        payload = json.loads(json_out)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"m* = {payload['m']}",
+            f"eps_M = {payload['eps_m']!r}",
+            f"t_robust_meas = {payload['t_robust_meas_s']!r} s",
+        ]
+
+    def test_no_majority_vote_exits_3(self, capsys):
+        # Each flag is a valid probability, but their sum leaves no vote.
+        code, out, err = run_cli(capsys, ["measure", "--p-i", "0.5", "--p-m", "0.5"])
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid parameter: ")
+
+
+class TestFlagErrors:
+    # Each flag type rejects text that is not a number, and a number out of
+    # its range, with exit 2 and a message naming the flag.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["plan", "--f", "abc"], "argument --f: --f expects a number, got 'abc'"),
+            (["plan", "--f", "nan"], "argument --f: --f must lie in [0, 1], got nan"),
+            (["plan", "--tau", "x"], "argument --tau: --tau expects a number, got 'x'"),
+            (["plan", "--tau", "inf"], "argument --tau: --tau must be positive and finite, got inf"),
+            (["plan", "--bound", "1.5"], "argument --bound: --bound expects an integer, got '1.5'"),
+            (["plan", "--bound", "-1"], "argument --bound: --bound must be >= 0, got -1"),
+        ],
+    )
+    def test_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"rnp plan: error: {message}"
+
 
 class TestPump:
     def test_table_output(self, capsys):
@@ -139,6 +177,29 @@ class TestPlan:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith("no useful link: the effective gate error exceeds 1 at these inputs: 1.008")
+
+    @pytest.mark.parametrize(
+        "preset,same",
+        [
+            ("ion-depolarizing", ["--t-mem", "10"]),
+            ("nv-dephasing", ["--noise", "dephasing", "--t-mem", "1"]),
+        ],
+    )
+    def test_preset_keeps_explicit_flags(self, capsys, preset, same):
+        # A preset sets the noise model and the default memory time only.
+        flags = ["--f", "0.9", "--p-l", "1e-4"]
+        code, out, _ = run_cli(capsys, ["plan", "--preset", preset, *flags])
+        assert code == 0
+        assert run_cli(capsys, ["plan", *flags, *same]) == (0, out, "")
+        assert out != FROZEN_PLANS[preset, "full"]
+
+    def test_memory_warning_goes_to_stderr(self, capsys):
+        code, out, err = run_cli(capsys, ["plan", "--preset", "ion-depolarizing", "--t-mem", "1e-3"])
+        assert (code, out) == (0, FROZEN_PLANS["ion-depolarizing", "full"])
+        assert err == (
+            "warning: t_C/t_mem = 0.243 exceeds 0.01; "
+            "the clock cycle is not far below the storage memory time\n"
+        )
 
     def test_plan_reproducible(self, capsys):
         code1, out1, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])

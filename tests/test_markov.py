@@ -14,13 +14,13 @@ from rnp import (
     build_chain,
     expected_pairs,
     failure_probability,
-    optimize_schedule,
     plan,
     run_two_level,
+    search_schedule,
     solve_budget,
 )
 from rnp import cli, markov, pumping
-from rnp.markov import MarkovChain, _search_schedule
+from rnp.markov import MarkovChain
 from rnp.measurement import optimal_m
 from rnp.pumping import PumpTrace, StepKind, StepRecord
 from rnp.timing import build_timings
@@ -321,7 +321,8 @@ class TestSolveBudget:
         chain = build_chain(trace_from_probs(bit_succ, phase_succ), mode)
         assume(expected_pairs(chain) <= 100)
         target = 10.0**log_target
-        budget, eps = markov._scan(chain, target, 10**5)
+        budget = solve_budget(chain, target, cap=10**5)
+        eps = failure_probability(chain, budget)
         ref_budget, ref_eps = reference_scan(chain, target, 10**5)
         if budget != ref_budget:
             # Only a reference mass within its rounding of the target may flip.
@@ -331,7 +332,9 @@ class TestSolveBudget:
         assert eps <= target
         # The reference's 1 - P(DONE) carries up to ~1 ulp of 1.0 per step.
         assert abs(eps - ref_eps) <= 1e-7 * ref_eps + budget * np.finfo(float).eps
-        assert eps == failure_probability(chain, budget)
+        # The mass at the budget does not depend on which powers are cached.
+        fresh = build_chain(trace_from_probs(bit_succ, phase_succ), mode)
+        assert eps == failure_probability(fresh, budget)
 
 
 def per_schedule_search(p, meas_flip, bound):
@@ -382,25 +385,32 @@ def prefix_sharing_search(params, meas_flip, bound):
     return best
 
 
+def searched(p, meas_flip, bound=15):
+    """(schedule, infidelity) that search_schedule picks."""
+    trace = search_schedule(p, meas_flip, bound)
+    return trace.schedule, trace.infidelity
+
+
 class TestOptimizeSchedule:
+    # Tests of the schedule optimization, search_schedule.
     def test_perfect_inputs_need_no_pumping(self):
-        sched, delta = optimize_schedule(params(1.0, p_l=0.0), 0.0, bound=6)
+        sched, delta = searched(params(1.0, p_l=0.0), 0.0, bound=6)
         assert (sched.n_b, sched.n_p) == (0, 0)
         assert delta == 0.0
 
     def test_headline_depolarizing_point(self):
-        sched, delta = optimize_schedule(params(0.95, p_l=1e-6), 1.2e-5)
+        sched, delta = searched(params(0.95, p_l=1e-6), 1.2e-5)
         assert (sched.n_b, sched.n_p) == (4, 5)
         # limited by the gate error with an order-ten overhead
         assert 1.5e-6 <= delta <= 1.5e-5
 
     def test_gate_error_limited_regime(self):
-        _, delta = optimize_schedule(params(0.95, p_l=1e-4), 8e-4)
+        _, delta = searched(params(0.95, p_l=1e-4), 8e-4)
         assert 1.5 <= delta / 1e-4 <= 15.0
 
     def test_dephasing_restricted_to_one_level(self):
         p = ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=0.95, noise=NoiseKind.DEPHASING)
-        sched, delta = optimize_schedule(p, 1.2e-5)
+        sched, delta = searched(p, 1.2e-5)
         assert sched.n_b == 0
         assert delta < 1e-5
 
@@ -414,19 +424,19 @@ class TestOptimizeSchedule:
     )
     def test_matches_per_schedule_search(self, f, p_l, eps_m, noise, bound):
         p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
-        assert optimize_schedule(p, eps_m, bound) == per_schedule_search(p, eps_m, bound)
-        assert _search_schedule(p, eps_m, bound) == prefix_sharing_search(p, eps_m, bound)
+        assert searched(p, eps_m, bound) == per_schedule_search(p, eps_m, bound)
+        assert search_schedule(p, eps_m, bound) == prefix_sharing_search(p, eps_m, bound)
 
     def test_matches_per_schedule_search_at_default_bound(self):
         p = params(0.95, p_l=1e-6)
-        assert optimize_schedule(p, 1.2e-5, 15) == per_schedule_search(p, 1.2e-5, 15)
-        assert _search_schedule(p, 1.2e-5, 15) == prefix_sharing_search(p, 1.2e-5, 15)
+        assert searched(p, 1.2e-5, 15) == per_schedule_search(p, 1.2e-5, 15)
+        assert search_schedule(p, 1.2e-5, 15) == prefix_sharing_search(p, 1.2e-5, 15)
 
     def test_ties_at_underflow_match_reference(self):
         # Deep schedules at F = 1 - 1e-13 underflow to infidelity 0.0; the
         # tie goes to the fewest total steps.
         p = ErrorParams(p_local=0.0, p_init=0.05, p_meas=0.05, fidelity=1 - 1e-13)
-        trace = _search_schedule(p, 0.0, 26)
+        trace = search_schedule(p, 0.0, 26)
         assert (trace.schedule, trace.infidelity) == (PumpSchedule(24, 26), 0.0)
         assert trace == prefix_sharing_search(p, 0.0, 26)
 
@@ -441,7 +451,7 @@ class TestOptimizeSchedule:
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         p = ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=0.95, noise=noise)
-        optimize_schedule(p, 1.2e-5, bound=15)
+        search_schedule(p, 1.2e-5, bound=15)
         assert len(batches) == calls
         assert sum(batches) == rows
 
@@ -457,13 +467,13 @@ class TestOptimizeSchedule:
         # The search keeps the records of the winning schedule; they must be
         # exactly the trace a separate run of that schedule produces.
         p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
-        trace = _search_schedule(p, eps_m, bound)
-        assert (trace.schedule, trace.infidelity) == optimize_schedule(p, eps_m, bound)
+        trace = search_schedule(p, eps_m, bound)
+        assert trace.infidelity == trace.final_state.infidelity
         assert trace == run_two_level(trace.schedule, p, eps_m)
 
     def test_search_trace_at_default_bound(self):
         p = params(0.95, p_l=1e-6)
-        trace = _search_schedule(p, 1.2e-5, 15)
+        trace = search_schedule(p, 1.2e-5, 15)
         expect = run_two_level(PumpSchedule(4, 5), p, 1.2e-5)
         assert trace.schedule == expect.schedule
         for got, want in zip(trace.steps, expect.steps, strict=True):
@@ -498,6 +508,11 @@ class TestPlan:
     def test_p_cnot_raw_order_of_magnitude(self, ion_plan):
         # (1-F) + 2 p_L + 2 p_M = 0.05 + 2e-6 + 0.1 ~ 0.15
         assert ion_plan.p_cnot_raw == pytest.approx(0.15, rel=0.01)
+
+    def test_readout_plan_defaults_to_optimal_m(self):
+        p = params(0.95, p_l=1e-6)
+        explicit = plan(p, self.TIMINGS, optimal_m(p, timings=self.TIMINGS))
+        assert plan(p, self.TIMINGS) == explicit
 
     def test_restart_mode_changes_resources(self):
         p = params(0.95, p_l=1e-6)
@@ -552,20 +567,25 @@ class TestPlan:
         assert relative_error(r.delta_min, exact.infidelity(steps[-1][2])) <= 1e-12
         assert 0.0 < r.eps_fail <= r.delta_min < 1e-16
 
-    def test_heavy_plan_scans_chain_once(self, monkeypatch):
-        # The largest budget of the default sweep grid.
+    def test_heavy_plan_shares_powers(self, monkeypatch):
+        # The largest budget of the default sweep grid.  Q is squared up to
+        # Q^(2^16), the first power whose mass is below delta_min; the mass
+        # at the budget, 62,682 < 2^16, then needs no further product.
         p = params(0.90, p_l=1e-6)
         meas = optimal_m(p, timings=self.TIMINGS)
-        scans = []
-        real = markov._scan
+        chains = []
+        real = markov.build_chain
 
-        def counting(*args):
-            scans.append(args)
-            return real(*args)
+        def keeping(*args):
+            chains.append(real(*args))
+            return chains[-1]
 
-        monkeypatch.setattr(markov, "_scan", counting)
+        monkeypatch.setattr(markov, "build_chain", keeping)
         r = plan(p, self.TIMINGS, meas, restart_mode=RestartMode.FULL)
-        assert len(scans) == 1
+        (chain,) = chains
         assert r.n_tot_budget == 62682
-        chain = build_chain(run_two_level(r.schedule, p, meas.error_prob), RestartMode.FULL)
+        assert len(chain._powers) == 17  # Q and 16 squarings
         assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
+        assert len(chain._powers) == 17
+        fresh = build_chain(run_two_level(r.schedule, p, meas.error_prob), RestartMode.FULL)
+        assert r.eps_fail == failure_probability(fresh, r.n_tot_budget)
