@@ -34,6 +34,7 @@ from .pumping import (
 from .markov import (
     MarkovChain,
     build_chain,
+    compose_plan,
     expected_pairs,
     failure_probability,
     plan,
@@ -66,6 +67,7 @@ __all__ = [
     "build_chain",
     "build_timings",
     "closed_form_infidelity",
+    "compose_plan",
     "entanglement_time",
     "expected_pairs",
     "failure_probability",

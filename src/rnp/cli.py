@@ -15,7 +15,15 @@ import sys
 
 import numpy as np
 
-from .markov import build_chain, expected_pairs, failure_probability, plan
+from .markov import (
+    SEARCH_SLICE,
+    build_chain,
+    compose_plan,
+    expected_pairs,
+    failure_probability,
+    plan,
+    search_schedule,
+)
 from .measurement import optimal_m
 from .model import (
     BudgetCapError,
@@ -163,9 +171,18 @@ def _cmd_plan(args) -> int:
     if args.preset:
         # A preset picks the noise model and the memory time; flags keep the rest.
         preset = PRESETS[args.preset]
+        if args.noise not in (None, preset["noise"]):
+            print(
+                f"rnp plan: error: --noise {args.noise.value} contradicts --preset {args.preset}, "
+                f"which sets --noise {preset['noise'].value}",
+                file=sys.stderr,
+            )
+            return EXIT_FLAGS
         args.noise = preset["noise"]
         if args.t_mem is None:
             args.t_mem = preset["t_mem"]
+    elif args.noise is None:
+        args.noise = NoiseKind.DEPOLARIZING
     params = ErrorParams(
         p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=args.f, noise=args.noise
     )
@@ -192,19 +209,30 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for p_l in p_l_grid:
-        meas = None  # the readout plan depends on p_init, p_meas and p_local, not on F
+        # One schedule search per p_L column, over its rows up to the first
+        # invalid one; rows are composed and fail in row order.
+        column, invalid = [], None
         for f in f_grid:
-            params = ErrorParams(
-                p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise
-            )
-            if meas is None:
-                meas = optimal_m(params, timings=timings)
-            r = plan(params, timings, meas, bound=args.bound, restart_mode=args.restart_mode)
-            rows.append(
-                f"{float(p_l)!r},{float(f)!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
-                f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
-                f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
-            )
+            try:
+                column.append(
+                    ErrorParams(p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise)
+                )
+            except ValidationError as exc:
+                invalid = exc
+                break
+        # The readout plan depends on p_init, p_meas and p_local, not on F.
+        meas = optimal_m(column[0], timings=timings) if column else None
+        for lo in range(0, len(column), SEARCH_SLICE):  # holds one slice of traces at a time
+            part = column[lo : lo + SEARCH_SLICE]
+            for params, trace in zip(part, search_schedule(part, meas.error_prob, args.bound)):
+                r = compose_plan(params, timings, meas, trace, args.restart_mode)
+                rows.append(
+                    f"{params.p_local!r},{params.fidelity!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
+                    f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
+                    f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
+                )
+        if invalid is not None:
+            raise invalid
 
     header = "p_L,F,noise,n_b,n_p,delta_min,eps_fail,eps_E,n_tot_budget,expected_pairs,t_C_s,gamma"
     text = "\n".join([header, *rows]) + "\n"
@@ -333,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--preset", choices=sorted(PRESETS), default=None)
     _add_error_flags(p_plan)
     p_plan.add_argument("--f", type=_prob("--f"), default=0.95)
-    p_plan.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
+    p_plan.add_argument(
+        "--noise", type=_noise_kind, default=None, help="raw pair noise (default: the preset's, else depolarizing)"
+    )
     _add_timing_flags(p_plan)
     p_plan.add_argument("--bound", type=_nonneg_int("--bound"), default=15)
     p_plan.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)

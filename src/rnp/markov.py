@@ -12,6 +12,7 @@ restart mode; DONE is the single absorbing state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,12 +42,18 @@ __all__ = [
     "expected_pairs",
     "search_schedule",
     "solve_budget",
+    "compose_plan",
     "plan",
     "BUDGET_CAP",
+    "SEARCH_SLICE",
 ]
 
 #: Hard cap on the raw-pair budget search.
 BUDGET_CAP = 10**6
+
+#: Raw pairs a schedule search steps at once.  Its arrays take ~32 KB per
+#: raw pair at bound 15, so a longer column is searched slice by slice.
+SEARCH_SLICE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,28 +226,42 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
     return n + 1
 
 
-def search_schedule(params: ErrorParams, meas_flip: float, bound: int = 15) -> PumpTrace:
-    """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity.
+def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int = 15) -> list[PumpTrace]:
+    """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity,
+    one per row of ``column``.
 
-    Ties break toward fewer total steps, then fewer phase steps.  Dephased
-    raw pairs carry no bit errors, so their search is restricted to the
-    one-level (n_b = 0) row.
+    The rows must share ``p_local`` and ``noise``; they differ in the raw
+    fidelity (a sweep's F values at one p_L).  Ties break toward fewer total
+    steps, then fewer phase steps.  Dephased raw pairs carry no bit errors,
+    so their search is restricted to the one-level (n_b = 0) row.
     """
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
+    column = list(column)
+    if any((p.p_local, p.noise) != (column[0].p_local, column[0].noise) for p in column):
+        raise ValidationError("a search column must share p_local and noise")
+    traces: list[PumpTrace] = []
+    for lo in range(0, len(column), SEARCH_SLICE):
+        traces += _search_slice(column[lo : lo + SEARCH_SLICE], meas_flip, bound)
+    return traces
+
+
+def _search_slice(column: list[ErrorParams], meas_flip: float, bound: int) -> list[PumpTrace]:
     # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
     # bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So the
-    # search makes ``bound`` bit steps on one row, then ``bound`` phase steps
-    # on the rows of every n_b at once.  Rows hold the populations a
-    # BellDiagonalState stores, so they are run_two_level's trace bit for bit.
-    base = pumping.raw_pair(params)
-    rates = (params.p_local, meas_flip)
-    bit_steps = []  # (success, accepted keeper) of each step, one row
-    purified = [np.array([base.as_tuple()])]
-    for _ in range(0 if params.noise is NoiseKind.DEPHASING else bound):
+    # search makes ``bound`` bit steps on the column's raw pairs, then
+    # ``bound`` phase steps on the rows of every (n_b, F) at once.  Rows hold
+    # the populations a BellDiagonalState stores, so they are run_two_level's
+    # trace bit for bit, and a row's bits do not depend on its batch.
+    n = len(column)
+    bases = [pumping.raw_pair(p) for p in column]
+    rates = (column[0].p_local, meas_flip)
+    bit_steps = []  # (success, accepted keeper) of each step, one row per F
+    purified = [np.array([b.as_tuple() for b in bases])]
+    for _ in range(0 if column[0].noise is NoiseKind.DEPHASING else bound):
         bit_steps.append(pumping._step_rows(purified[-1], purified[0], StepKind.BIT, *rates))
         purified.append(pumping._stored_rows(bit_steps[-1][1]))
-    keepers = [np.concatenate(purified)]  # row n_b holds schedule (n_b, n_p)
+    keepers = [np.concatenate(purified)]  # row n_b*n + i holds schedule (n_b, n_p) of F_i
     phase_steps = []
     for _ in range(bound):
         phase_steps.append(pumping._step_rows(keepers[-1], keepers[0], StepKind.PHASE, *rates))
@@ -248,40 +269,42 @@ def search_schedule(params: ErrorParams, meas_flip: float, bound: int = 15) -> P
 
     # Least infidelity; ties go to fewer total steps, then fewer phase steps.
     pops = np.array(keepers)
-    errors = (pops[..., 1] + pops[..., 2]) + pops[..., 3]  # [n_p, n_b], as infidelity sums
-    n_p, n_b = min(zip(*np.nonzero(errors == errors.min())), key=lambda c: (c[0] + c[1], c[0]))
-    path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps[:n_b]]
-    path += [(StepKind.PHASE, s[n_b], k[n_b]) for s, k in phase_steps[:n_p]]
-    steps: list[StepRecord] = []
-    state = base
-    for kind, success, accepted in path:
-        after = BellDiagonalState.from_vector(accepted)
-        steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
-        state = after
-    return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
+    errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, len(purified), n)
+    p_steps, b_steps = np.indices(errors.shape[:2])
+    rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
+    rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+    winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
+
+    traces = []
+    for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
+        path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
+        path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
+        steps: list[StepRecord] = []
+        state = base
+        for kind, success, accepted in path:
+            after = BellDiagonalState.from_vector(accepted)
+            steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
+            state = after
+        traces.append(PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity))
+    return traces
 
 
-def plan(
+def compose_plan(
     params: ErrorParams,
     timings: PhysicalTimings,
-    meas: MeasurementPlan | None = None,
-    bound: int = 15,
+    meas: MeasurementPlan,
+    trace: PumpTrace,
     restart_mode: RestartMode = RestartMode.FULL,
 ) -> PlanResult:
-    """Compose the full plan for one parameter point.
+    """The plan for one parameter point from its searched schedule trace.
 
-    Picks the infidelity-optimal schedule, sizes the raw-pair budget so the
-    failure probability matches the reachable infidelity, and assembles
-    the clock cycle and effective gate error.  When ``meas`` is omitted the
-    repetition count is optimized from ``params`` and ``timings``.
+    Sizes the raw-pair budget so the failure probability matches the
+    reachable infidelity, and assembles the clock cycle and effective gate
+    error.  ``meas`` is the readout plan the trace was searched with.
     """
-    if meas is None:
-        meas = optimal_m(params, timings=timings)
     if meas.duration_s is None:
         raise ValidationError("plan requires a MeasurementPlan with a duration")
-
-    trace = search_schedule(params, meas.error_prob, bound)
-    schedule, delta_min = trace.schedule, trace.infidelity
+    delta_min = trace.infidelity
     chain = build_chain(trace, restart_mode)
     budget = solve_budget(chain, delta_min)
     eps_fail = failure_probability(chain, budget)
@@ -297,7 +320,7 @@ def plan(
     p_cnot_raw = (1.0 - params.fidelity) + 2.0 * params.p_local + 2.0 * params.p_meas
 
     return PlanResult(
-        schedule=schedule,
+        schedule=trace.schedule,
         delta_min=delta_min,
         n_tot_budget=budget,
         expected_pairs=expected,
@@ -309,3 +332,22 @@ def plan(
         p_cnot_raw=min(p_cnot_raw, 1.0),
         restart_mode=restart_mode,
     )
+
+
+def plan(
+    params: ErrorParams,
+    timings: PhysicalTimings,
+    meas: MeasurementPlan | None = None,
+    bound: int = 15,
+    restart_mode: RestartMode = RestartMode.FULL,
+) -> PlanResult:
+    """Compose the full plan for one parameter point.
+
+    Picks the infidelity-optimal schedule (a search column of one) and hands
+    its trace to ``compose_plan``.  When ``meas`` is omitted the repetition
+    count is optimized from ``params`` and ``timings``.
+    """
+    if meas is None:
+        meas = optimal_m(params, timings=timings)
+    (trace,) = search_schedule([params], meas.error_prob, bound)
+    return compose_plan(params, timings, meas, trace, restart_mode)

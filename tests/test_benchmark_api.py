@@ -64,3 +64,13 @@ def test_stage_functions_exported():
     for name in ("search_schedule", "build_chain", "solve_budget", "failure_probability", "expected_pairs", "plan"):
         assert name in rnp.__all__
         assert name in rnp.markov.__all__
+
+
+def test_search_schedule_takes_a_column():
+    # A column of raw pairs that share p_local and noise in, one trace per row out.
+    column = [rnp.ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=f) for f in (0.9, 0.95)]
+    traces = rnp.search_schedule(column, 1.2e-5, 15)
+    assert [type(t) for t in traces] == [rnp.PumpTrace, rnp.PumpTrace]
+    assert traces[1].schedule == rnp.PumpSchedule(4, 5)
+    chain = rnp.build_chain(traces[1], rnp.RestartMode.FULL)
+    assert rnp.failure_probability(chain, rnp.solve_budget(chain, traces[1].infidelity)) <= traces[1].infidelity

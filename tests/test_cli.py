@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rnp import cli
+from rnp import ErrorParams, NoiseKind, cli, plan, pumping
+from rnp.timing import build_timings
 
 SMALL_SWEEP = [
     "sweep",
@@ -193,6 +198,30 @@ class TestPlan:
         assert run_cli(capsys, ["plan", *flags, *same]) == (0, out, "")
         assert out != FROZEN_PLANS[preset, "full"]
 
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_matching_noise_is_accepted(self, capsys, preset):
+        noise = cli.PRESETS[preset]["noise"].value
+        assert run_cli(capsys, ["plan", "--preset", preset, "--noise", noise]) == (
+            0,
+            FROZEN_PLANS[preset, "full"],
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "preset,noise", [("ion-depolarizing", "dephasing"), ("nv-dephasing", "depolarizing")]
+    )
+    def test_contradicting_noise_exits_2(self, capsys, preset, noise):
+        code, out, err = run_cli(capsys, ["plan", "--preset", preset, "--noise", noise])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"rnp plan: error: --noise {noise} contradicts --preset {preset}, "
+            f"which sets --noise {cli.PRESETS[preset]['noise'].value}\n"
+        )
+
+    def test_noise_defaults_to_depolarizing_without_a_preset(self, capsys):
+        flags = ["--f", "0.9", "--p-l", "1e-4"]
+        assert run_cli(capsys, ["plan", *flags]) == run_cli(capsys, ["plan", *flags, "--noise", "depolarizing"])
+
     def test_memory_warning_goes_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, ["plan", "--preset", "ion-depolarizing", "--t-mem", "1e-3"])
         assert (code, out) == (0, FROZEN_PLANS["ion-depolarizing", "full"])
@@ -280,6 +309,66 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 3 * 2
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("f_points", ["1", "4", "10"])
+    @pytest.mark.parametrize("p_l_points", [1, 3])
+    def test_one_search_per_p_l_column(self, capsys, monkeypatch, p_l_points, f_points):
+        # 2 * bound kernel calls per p_L value, whatever the number of F values.
+        calls = []
+        real = pumping._step_rows
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(pumping, "_step_rows", counting)
+        argv = ["sweep", "--p-l-points", str(p_l_points), "--f-points", f_points, "--bound", "6"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + p_l_points * int(f_points)
+        assert len(calls) == p_l_points * 2 * 6
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p_l=st.tuples(*[st.floats(min_value=-6.0, max_value=-3.0)] * 2).map(sorted),
+        p_l_points=st.integers(min_value=1, max_value=2),
+        f=st.tuples(*[st.floats(min_value=0.9, max_value=0.99)] * 2),
+        f_points=st.integers(min_value=1, max_value=4),
+        mode=st.sampled_from(["full", "level"]),
+        noise=st.sampled_from(["depolarizing", "dephasing"]),
+    )
+    def test_rows_equal_single_plans(self, p_l, p_l_points, f, f_points, mode, noise):
+        # A sweep row is the plan of its point, field for field.
+        argv = [
+            "sweep", "--p-l-min", repr(10.0 ** p_l[0]), "--p-l-max", repr(10.0 ** p_l[1]),
+            "--p-l-points", str(p_l_points), "--f-min", repr(f[0]), "--f-max", repr(f[1]),
+            "--f-points", str(f_points), "--restart-mode", mode, "--noise", noise,
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert len(rows) == p_l_points * f_points
+        timings = build_timings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
+        for row in rows:
+            p = ErrorParams(
+                p_local=float(row[0]), p_init=0.05, p_meas=0.05, fidelity=float(row[1]), noise=NoiseKind(noise)
+            )
+            r = plan(p, timings, restart_mode=cli._restart_mode(mode))
+            assert row == [
+                repr(p.p_local), repr(p.fidelity), noise, str(r.schedule.n_b), str(r.schedule.n_p),
+                repr(r.delta_min), repr(r.eps_fail), repr(r.eps_E), str(r.n_tot_budget),
+                repr(r.expected_pairs), repr(r.t_C), repr(r.gamma),
+            ]
+
+    def test_rows_fail_in_row_order(self, capsys):
+        # F = 0.85 hits the budget cap before F = 0.45 is found unpurifiable.
+        argv = ["sweep", "--f-min", "0.85", "--f-max", "0.45", "--f-points", "2", "--p-l-points", "1"]
+        assert run_cli(capsys, argv) == (
+            3,
+            "",
+            "budget search failed: no budget up to 1000000 reaches failure probability 1.6525763058411588e-05\n",
+        )
 
     def test_unwritable_path_exits_4(self, capsys):
         code, _, err = run_cli(capsys, SMALL_SWEEP + ["--out", "/nonexistent-dir/x.csv"])

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import exact
 import numpy as np
 import pytest
 from exact import relative_error
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from rnp import (
+    BellDiagonalState,
     BudgetCapError,
     ErrorParams,
     NoiseKind,
@@ -19,7 +22,7 @@ from rnp import (
     search_schedule,
     solve_budget,
 )
-from rnp import cli, markov, pumping
+from rnp import ValidationError, cli, markov, pumping
 from rnp.markov import MarkovChain
 from rnp.measurement import optimal_m
 from rnp.pumping import PumpTrace, StepKind, StepRecord
@@ -385,10 +388,45 @@ def prefix_sharing_search(params, meas_flip, bound):
     return best
 
 
+def per_row_search(params, meas_flip, bound):
+    """The one-row batched search the column search replaced, kept as its
+    reference: ``bound`` bit steps on one raw pair, then ``bound`` phase
+    steps on the rows of every n_b at once."""
+    base = pumping.raw_pair(params)
+    rates = (params.p_local, meas_flip)
+    bit_steps = []
+    purified = [np.array([base.as_tuple()])]
+    for _ in range(0 if params.noise is NoiseKind.DEPHASING else bound):
+        bit_steps.append(pumping._step_rows(purified[-1], purified[0], StepKind.BIT, *rates))
+        purified.append(pumping._stored_rows(bit_steps[-1][1]))
+    keepers = [np.concatenate(purified)]
+    phase_steps = []
+    for _ in range(bound):
+        phase_steps.append(pumping._step_rows(keepers[-1], keepers[0], StepKind.PHASE, *rates))
+        keepers.append(pumping._stored_rows(phase_steps[-1][1]))
+
+    pops = np.array(keepers)
+    errors = (pops[..., 1] + pops[..., 2]) + pops[..., 3]
+    n_p, n_b = min(zip(*np.nonzero(errors == errors.min())), key=lambda c: (c[0] + c[1], c[0]))
+    path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps[:n_b]]
+    path += [(StepKind.PHASE, s[n_b], k[n_b]) for s, k in phase_steps[:n_p]]
+    steps = []
+    state = base
+    for kind, success, accepted in path:
+        after = BellDiagonalState.from_vector(accepted)
+        steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
+        state = after
+    return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
+
+
 def searched(p, meas_flip, bound=15):
     """(schedule, infidelity) that search_schedule picks."""
-    trace = search_schedule(p, meas_flip, bound)
+    trace = search_schedule([p], meas_flip, bound)[0]
     return trace.schedule, trace.infidelity
+
+
+def column(fs, p_l=1e-6, noise=NoiseKind.DEPOLARIZING):
+    return [ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise) for f in fs]
 
 
 class TestOptimizeSchedule:
@@ -425,18 +463,18 @@ class TestOptimizeSchedule:
     def test_matches_per_schedule_search(self, f, p_l, eps_m, noise, bound):
         p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
         assert searched(p, eps_m, bound) == per_schedule_search(p, eps_m, bound)
-        assert search_schedule(p, eps_m, bound) == prefix_sharing_search(p, eps_m, bound)
+        assert search_schedule([p], eps_m, bound)[0] == prefix_sharing_search(p, eps_m, bound)
 
     def test_matches_per_schedule_search_at_default_bound(self):
         p = params(0.95, p_l=1e-6)
         assert searched(p, 1.2e-5, 15) == per_schedule_search(p, 1.2e-5, 15)
-        assert search_schedule(p, 1.2e-5, 15) == prefix_sharing_search(p, 1.2e-5, 15)
+        assert search_schedule([p], 1.2e-5, 15)[0] == prefix_sharing_search(p, 1.2e-5, 15)
 
     def test_ties_at_underflow_match_reference(self):
         # Deep schedules at F = 1 - 1e-13 underflow to infidelity 0.0; the
         # tie goes to the fewest total steps.
         p = ErrorParams(p_local=0.0, p_init=0.05, p_meas=0.05, fidelity=1 - 1e-13)
-        trace = search_schedule(p, 0.0, 26)
+        trace = search_schedule([p], 0.0, 26)[0]
         assert (trace.schedule, trace.infidelity) == (PumpSchedule(24, 26), 0.0)
         assert trace == prefix_sharing_search(p, 0.0, 26)
 
@@ -444,16 +482,81 @@ class TestOptimizeSchedule:
         "noise,calls,rows", [(NoiseKind.DEPOLARIZING, 30, 255), (NoiseKind.DEPHASING, 15, 15)]
     )
     def test_one_pump_step_per_schedule(self, monkeypatch, noise, calls, rows):
-        # One row step per schedule but (0, 0), batched into kernel calls:
-        # bound bit steps on one row, then bound phase steps on every n_b's
-        # row at once.  Dephased pairs keep n_b = 0.  The kernel is looked up
-        # through rnp.pumping.
+        # One row step per schedule but (0, 0) and per F, batched into kernel
+        # calls: bound bit steps on the column's raw pairs, then bound phase
+        # steps on every (n_b, F) row at once.  Dephased pairs keep n_b = 0.
+        # The kernel is looked up through rnp.pumping.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        p = ErrorParams(p_local=1e-6, p_init=0.05, p_meas=0.05, fidelity=0.95, noise=noise)
-        search_schedule(p, 1.2e-5, bound=15)
-        assert len(batches) == calls
-        assert sum(batches) == rows
+        for n_f in (1, 2, 10, markov.SEARCH_SLICE):
+            batches.clear()
+            search_schedule(column(np.linspace(0.9, 0.99, n_f), noise=noise), 1.2e-5, bound=15)
+            assert len(batches) == calls
+            assert sum(batches) == rows * n_f
+
+    def test_long_column_is_searched_in_slices(self, monkeypatch):
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        n_f = 2 * markov.SEARCH_SLICE + 3
+        search_schedule(column(np.linspace(0.9, 0.99, n_f)), 1.2e-5, bound=15)
+        assert len(batches) == 3 * 30
+        assert max(batches) == 16 * markov.SEARCH_SLICE
+        assert sum(batches) == 255 * n_f
+
+    def test_empty_column(self, monkeypatch):
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        assert search_schedule([], 1.2e-5) == []
+        assert batches == []
+
+    def test_column_must_share_p_local_and_noise(self):
+        with pytest.raises(ValidationError, match="share p_local and noise"):
+            search_schedule(column([0.9]) + column([0.95], p_l=1e-5), 1.2e-5)
+        with pytest.raises(ValidationError, match="share p_local and noise"):
+            search_schedule(column([0.9]) + column([0.95], noise=NoiseKind.DEPHASING), 1.2e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fs=st.lists(st.floats(min_value=0.5, max_value=1.0, exclude_min=True), min_size=1, max_size=12),
+        p_l=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        eps_m=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=0, max_value=8),
+    )
+    def test_column_matches_per_row_search(self, fs, p_l, eps_m, noise, bound):
+        rows = column(fs, p_l, noise)
+        traces = search_schedule(rows, eps_m, bound)
+        assert len(traces) == len(rows)
+        for p, trace in zip(rows, traces, strict=True):
+            assert trace == per_row_search(p, eps_m, bound)
+            assert trace == prefix_sharing_search(p, eps_m, bound)
+
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_column_longer_than_a_slice_matches_per_row_search(self, noise):
+        rows = column(np.linspace(0.9, 0.999, markov.SEARCH_SLICE + 5), 1e-5, noise)
+        traces = search_schedule(rows, 1.2e-5)
+        assert traces == [per_row_search(p, 1.2e-5, 15) for p in rows]
+
+    def test_memory_is_bounded_by_the_slice(self):
+        # The arrays of a search take ~32 KB per raw pair, so a column is
+        # searched slice by slice.  Past its returned traces (a few KB per
+        # row, which any caller of a long column keeps), a 1,000-row search
+        # peaks as high as a one-slice search does.
+        def peak_and_kept(n):
+            rows = column(np.linspace(0.9, 0.99, n))
+            tracemalloc.start()
+            try:
+                traces = search_schedule(rows, 1.2e-5)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(traces) == n
+            return peak, kept
+
+        search_schedule(column([0.9]), 1.2e-5)  # NumPy's first-call allocations
+        one_slice, _ = peak_and_kept(markov.SEARCH_SLICE)
+        peak, kept = peak_and_kept(1000)
+        assert peak - kept <= 2 * one_slice
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -467,13 +570,13 @@ class TestOptimizeSchedule:
         # The search keeps the records of the winning schedule; they must be
         # exactly the trace a separate run of that schedule produces.
         p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
-        trace = search_schedule(p, eps_m, bound)
+        trace = search_schedule([p], eps_m, bound)[0]
         assert trace.infidelity == trace.final_state.infidelity
         assert trace == run_two_level(trace.schedule, p, eps_m)
 
     def test_search_trace_at_default_bound(self):
         p = params(0.95, p_l=1e-6)
-        trace = search_schedule(p, 1.2e-5, 15)
+        trace = search_schedule([p], 1.2e-5, 15)[0]
         expect = run_two_level(PumpSchedule(4, 5), p, 1.2e-5)
         assert trace.schedule == expect.schedule
         for got, want in zip(trace.steps, expect.steps, strict=True):
@@ -589,3 +692,42 @@ class TestPlan:
         assert len(chain._powers) == 17
         fresh = build_chain(run_two_level(r.schedule, p, meas.error_prob), RestartMode.FULL)
         assert r.eps_fail == failure_probability(fresh, r.n_tot_budget)
+
+
+plan_points = dict(
+    f=st.floats(min_value=0.8, max_value=1.0),
+    p_l=st.one_of(st.just(0.0), st.floats(min_value=-7.0, max_value=-2.0).map(lambda e: 10.0**e)),
+    noise=st.sampled_from(list(NoiseKind)),
+)
+
+
+class TestPlanProperties:
+    # Properties of plan over drawn points; a point that exits 3 (the budget
+    # cap under full restart) says nothing here and is rejected.  eps_E,
+    # gamma and expected_pairs are not monotone in F, so no test claims it.
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(list(RestartMode)), **plan_points)
+    def test_budget_is_the_least_that_meets_delta_min(self, f, p_l, noise, mode):
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        meas = optimal_m(p, timings=TIMINGS)
+        try:
+            r = plan(p, TIMINGS, meas, restart_mode=mode)
+        except BudgetCapError:
+            reject()
+        chain = build_chain(search_schedule([p], meas.error_prob)[0], mode)
+        n = r.n_tot_budget
+        assert failure_probability(chain, n) == r.eps_fail <= r.delta_min
+        assert r.delta_min < failure_probability(chain, n - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**plan_points)
+    def test_level_restart_needs_no_more_pairs(self, f, p_l, noise):
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        meas = optimal_m(p, timings=TIMINGS)
+        try:
+            full = plan(p, TIMINGS, meas, restart_mode=RestartMode.FULL)
+        except BudgetCapError:
+            reject()
+        level = plan(p, TIMINGS, meas, restart_mode=RestartMode.LEVEL)
+        assert level.schedule == full.schedule
+        assert level.expected_pairs <= full.expected_pairs
