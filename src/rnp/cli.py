@@ -79,18 +79,21 @@ _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and f
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
 
 
-def _add_error_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p-i", type=_prob("--p-i"), default=0.05, help="initialization error")
-    p.add_argument("--p-m", type=_prob("--p-m"), default=0.05, help="raw readout error")
-    p.add_argument("--p-l", type=_prob("--p-l"), default=1e-6, help="local gate error")
+def _add_error_flags(p: argparse.ArgumentParser, readout: bool = True, gate: bool = True) -> None:
+    if readout:
+        p.add_argument("--p-i", type=_prob("--p-i"), default=0.05, help="initialization error")
+        p.add_argument("--p-m", type=_prob("--p-m"), default=0.05, help="raw readout error")
+    if gate:
+        p.add_argument("--p-l", type=_prob("--p-l"), default=1e-6, help="local gate error")
 
 
-def _add_timing_flags(p: argparse.ArgumentParser) -> None:
+def _add_timing_flags(p: argparse.ArgumentParser, memory: bool = False) -> None:
     p.add_argument("--tau", type=_positive("--tau"), default=10e-9, help="radiative lifetime [s]")
     p.add_argument("--eta", type=_prob("--eta"), default=0.2, help="collection/detection efficiency")
     p.add_argument("--cavity-c", type=_positive("--cavity-c"), default=10.0, help="Purcell factor")
     p.add_argument("--t-local", type=_positive("--t-local"), default=0.1e-6, help="local gate time [s]")
-    p.add_argument("--t-mem", type=_positive("--t-mem"), default=None, help="storage memory time [s]")
+    if memory:
+        p.add_argument("--t-mem", type=_positive("--t-mem"), default=None, help="storage memory time [s]")
 
 
 def _noise_kind(text: str) -> NoiseKind:
@@ -129,9 +132,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_pump(args) -> int:
-    params = ErrorParams(
-        p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=args.f, noise=args.noise
-    )
+    # The raw pair and the step maps read neither p_init nor p_meas.
+    params = ErrorParams(p_local=args.p_l, p_init=0.0, p_meas=0.0, fidelity=args.f, noise=args.noise)
     if args.standard_steps is not None:
         trace = run_standard(args.standard_steps, params, args.eps_m)
     else:
@@ -205,7 +207,7 @@ def _cmd_plan(args) -> int:
 def _cmd_sweep(args) -> int:
     p_l_grid = np.geomspace(args.p_l_min, args.p_l_max, args.p_l_points)
     f_grid = np.linspace(args.f_min, args.f_max, args.f_points)
-    timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
+    timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local)
 
     rows = []
     for p_l in p_l_grid:
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.set_defaults(func=_cmd_measure)
 
     p_pump = sub.add_parser("pump", help="deterministic pumping trace")
-    _add_error_flags(p_pump)
+    _add_error_flags(p_pump, readout=False)
     p_pump.add_argument("--f", type=_prob("--f"), default=0.95, help="raw pair fidelity")
     p_pump.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
     p_pump.add_argument("--n-b", type=_nonneg_int("--n-b"), default=2)
@@ -364,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--noise", type=_noise_kind, default=None, help="raw pair noise (default: the preset's, else depolarizing)"
     )
-    _add_timing_flags(p_plan)
+    _add_timing_flags(p_plan, memory=True)
     p_plan.add_argument("--bound", type=_nonneg_int("--bound"), default=15)
     p_plan.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)
     p_plan.set_defaults(func=_cmd_plan)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    _add_error_flags(p_sweep)
+    _add_error_flags(p_sweep, gate=False)
     p_sweep.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
     _add_timing_flags(p_sweep)
     p_sweep.add_argument("--p-l-min", type=_positive("--p-l-min"), default=1e-6)

@@ -21,19 +21,16 @@ import numpy as np
 from . import pumping
 from .measurement import optimal_m
 from .model import (
-    BellDiagonalState,
     BudgetCapError,
     ErrorParams,
     MeasurementPlan,
-    NoiseKind,
     PhysicalTimings,
     PlanResult,
-    PumpSchedule,
     RestartMode,
     UselessLinkError,
     ValidationError,
 )
-from .pumping import PumpTrace, StepKind, StepRecord
+from .pumping import PumpTrace, StepKind
 
 __all__ = [
     "MarkovChain",
@@ -132,8 +129,6 @@ def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
     n_p = trace.schedule.n_p
     bit_succ = [s.success_prob for s in trace.steps if s.kind is StepKind.BIT]
     phase_succ = [s.success_prob for s in trace.steps if s.kind is StepKind.PHASE]
-    if len(bit_succ) != n_b or len(phase_succ) != n_p:
-        raise ValidationError("trace steps do not match its schedule")
 
     width = n_b + 1
     n = (n_p + 1) * width  # transient states; DONE is state n
@@ -242,50 +237,7 @@ def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int 
         raise ValidationError("a search column must share p_local and noise")
     traces: list[PumpTrace] = []
     for lo in range(0, len(column), SEARCH_SLICE):
-        traces += _search_slice(column[lo : lo + SEARCH_SLICE], meas_flip, bound)
-    return traces
-
-
-def _search_slice(column: list[ErrorParams], meas_flip: float, bound: int) -> list[PumpTrace]:
-    # Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
-    # bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So the
-    # search makes ``bound`` bit steps on the column's raw pairs, then
-    # ``bound`` phase steps on the rows of every (n_b, F) at once.  Rows hold
-    # the populations a BellDiagonalState stores, so they are run_two_level's
-    # trace bit for bit, and a row's bits do not depend on its batch.
-    n = len(column)
-    bases = [pumping.raw_pair(p) for p in column]
-    rates = (column[0].p_local, meas_flip)
-    bit_steps = []  # (success, accepted keeper) of each step, one row per F
-    purified = [np.array([b.as_tuple() for b in bases])]
-    for _ in range(0 if column[0].noise is NoiseKind.DEPHASING else bound):
-        bit_steps.append(pumping._step_rows(purified[-1], purified[0], StepKind.BIT, *rates))
-        purified.append(pumping._stored_rows(bit_steps[-1][1]))
-    keepers = [np.concatenate(purified)]  # row n_b*n + i holds schedule (n_b, n_p) of F_i
-    phase_steps = []
-    for _ in range(bound):
-        phase_steps.append(pumping._step_rows(keepers[-1], keepers[0], StepKind.PHASE, *rates))
-        keepers.append(pumping._stored_rows(phase_steps[-1][1]))
-
-    # Least infidelity; ties go to fewer total steps, then fewer phase steps.
-    pops = np.array(keepers)
-    errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, len(purified), n)
-    p_steps, b_steps = np.indices(errors.shape[:2])
-    rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
-    rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
-    winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
-
-    traces = []
-    for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-        path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
-        path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
-        steps: list[StepRecord] = []
-        state = base
-        for kind, success, accepted in path:
-            after = BellDiagonalState.from_vector(accepted)
-            steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
-            state = after
-        traces.append(PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity))
+        traces += pumping.search_two_level(column[lo : lo + SEARCH_SLICE], meas_flip, bound)
     return traces
 
 

@@ -122,7 +122,7 @@ class ErrorParams:
             raise ValidationError(f"noise must be a NoiseKind, got {self.noise!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BellDiagonalState:
     """Two-qubit mixed state diagonal in the Bell basis.
 
@@ -178,7 +178,7 @@ class BellDiagonalState:
         return self.p_psi_plus + self.p_psi_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PumpSchedule:
     """Pumping control parameters: n_b bit-filter steps, n_p phase-filter steps."""
 

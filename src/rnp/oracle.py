@@ -448,8 +448,6 @@ def monte_carlo_pumping(
     phase_succ = np.array(
         [s.success_prob for s in trace.steps if s.kind is StepKind.PHASE], dtype=np.float64
     )
-    if len(bit_succ) != trace.schedule.n_b or len(phase_succ) != trace.schedule.n_p:
-        raise ValidationError("trace steps do not match its schedule")
 
     consumed = mc_consumed_pairs(
         bit_succ,

@@ -46,6 +46,7 @@ __all__ = [
     "raw_pair",
     "pump_step",
     "run_two_level",
+    "search_two_level",
     "run_standard",
     "closed_form_infidelity",
 ]
@@ -112,7 +113,7 @@ def _stored_rows(rows: np.ndarray) -> np.ndarray:
     return rows / (((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3])[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One accepted pumping step along the deterministic trace."""
 
@@ -126,14 +127,51 @@ class StepRecord:
             raise ValidationError(f"success_prob must be in (0, 1], got {self.success_prob!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PumpTrace:
-    """Deterministic all-success trace of a pumping schedule."""
+    """Deterministic all-success trace: n_b bit and n_p phase steps of its schedule."""
 
     schedule: PumpSchedule
     steps: tuple[StepRecord, ...]
     final_state: BellDiagonalState
     infidelity: float
+
+    def __post_init__(self) -> None:
+        kinds = [s.kind for s in self.steps]
+        if (kinds.count(StepKind.BIT), kinds.count(StepKind.PHASE)) != (self.schedule.n_b, self.schedule.n_p):
+            raise ValidationError("trace steps do not match its schedule")
+
+
+def _trace(state: BellDiagonalState, path) -> PumpTrace:
+    """Trace from keeper ``state`` along (kind, success, accepted row) results
+    of ``_step_rows``; its schedule counts the path's bit and phase steps."""
+    steps: list[StepRecord] = []
+    for kind, success, accepted in path:
+        after = BellDiagonalState.from_vector(accepted)
+        steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
+        state = after
+    n_p = sum(s.kind is StepKind.PHASE for s in steps)
+    return PumpTrace(PumpSchedule(len(steps) - n_p, n_p), tuple(steps), state, state.infidelity)
+
+
+def _two_level_rows(bases: np.ndarray, n_b: int, n_p: int, p_local: float, meas_flip: float):
+    """n_b bit steps on the raw rows ``bases``, then n_p phase steps on every
+    bit level at once (keeper row j*len(bases) + i is raw row i after j bit
+    steps, and its own fresh input).  Returns the bit and phase steps'
+    ``_step_rows`` results and the keeper rows before and after each phase
+    step.  Rows hold what a BellDiagonalState stores, so they are the
+    step-by-step trace bit for bit."""
+    bit_steps = []
+    purified = [bases]
+    for _ in range(n_b):
+        bit_steps.append(_step_rows(purified[-1], bases, StepKind.BIT, p_local, meas_flip))
+        purified.append(_stored_rows(bit_steps[-1][1]))
+    keepers = [np.concatenate(purified)]
+    phase_steps = []
+    for _ in range(n_p):
+        phase_steps.append(_step_rows(keepers[-1], keepers[0], StepKind.PHASE, p_local, meas_flip))
+        keepers.append(_stored_rows(phase_steps[-1][1]))
+    return bit_steps, phase_steps, keepers
 
 
 def raw_pair(params: ErrorParams) -> BellDiagonalState:
@@ -167,8 +205,7 @@ def pump_step(
     success, keeper = _step_rows(
         np.array([target.as_tuple()]), np.array([fresh.as_tuple()]), kind, p_local, meas_flip
     )
-    after = BellDiagonalState.from_vector(keeper[0])
-    return StepRecord(kind, target, min(float(success[0]), 1.0), after)
+    return _trace(target, [(kind, success[0], keeper[0])]).steps[0]
 
 
 def run_two_level(
@@ -181,28 +218,46 @@ def run_two_level(
     Level one filters bit errors: a raw keeper is pumped n_b times with raw
     fresh pairs.  Level two filters phase errors: the bit-purified pair is
     the keeper and also the fresh input of each of the n_p phase steps.
+    It is the search's engine on one raw pair, read at its last bit level.
     """
     base = raw_pair(params)
-    steps: list[StepRecord] = []
-
-    keeper = base
-    for _ in range(schedule.n_b):
-        rec = pump_step(keeper, base, StepKind.BIT, params.p_local, meas_flip)
-        steps.append(rec)
-        keeper = rec.state_after_success
-
-    bit_purified = keeper
-    for _ in range(schedule.n_p):
-        rec = pump_step(keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip)
-        steps.append(rec)
-        keeper = rec.state_after_success
-
-    return PumpTrace(
-        schedule=schedule,
-        steps=tuple(steps),
-        final_state=keeper,
-        infidelity=keeper.infidelity,
+    bit_steps, phase_steps, _ = _two_level_rows(
+        np.array([base.as_tuple()]), schedule.n_b, schedule.n_p, params.p_local, meas_flip
     )
+    path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps]
+    path += [(StepKind.PHASE, s[-1], k[-1]) for s, k in phase_steps]
+    return _trace(base, path)
+
+
+def search_two_level(column: list[ErrorParams], meas_flip: float, bound: int) -> list[PumpTrace]:
+    """``markov.search_schedule`` on a nonempty column that it has checked.
+
+    Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
+    bit-purified pair of n_b is that of n_b - 1 plus one bit step, so one
+    ``_two_level_rows`` call of ``bound`` steps per level steps every
+    schedule of every row.
+    """
+    n = len(column)
+    bases = [raw_pair(p) for p in column]
+    n_b_max = 0 if column[0].noise is NoiseKind.DEPHASING else bound
+    bit_steps, phase_steps, keepers = _two_level_rows(
+        np.array([b.as_tuple() for b in bases]), n_b_max, bound, column[0].p_local, meas_flip
+    )
+
+    # Least infidelity; ties go to fewer total steps, then fewer phase steps.
+    pops = np.array(keepers)  # [n_p, n_b*n + i]: schedule (n_b, n_p) of row i
+    errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, n_b_max + 1, n)
+    p_steps, b_steps = np.indices(errors.shape[:2])
+    rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
+    rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+    winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
+
+    traces = []
+    for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
+        path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
+        path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
+        traces.append(_trace(base, path))
+    return traces
 
 
 def run_standard(
@@ -219,24 +274,14 @@ def run_standard(
     if not isinstance(total_steps, int) or total_steps < 0:
         raise ValidationError(f"total_steps must be a nonnegative integer, got {total_steps!r}")
     base = raw_pair(params)
-    keeper = base
-    steps: list[StepRecord] = []
-    n_b = n_p = 0
+    fresh = keeper = np.array([base.as_tuple()])
+    path = []
     for i in range(total_steps):
         kind = StepKind.BIT if i % 2 == 0 else StepKind.PHASE
-        rec = pump_step(keeper, base, kind, params.p_local, meas_flip)
-        steps.append(rec)
-        keeper = rec.state_after_success
-        if kind is StepKind.BIT:
-            n_b += 1
-        else:
-            n_p += 1
-    return PumpTrace(
-        schedule=PumpSchedule(n_b=n_b, n_p=n_p),
-        steps=tuple(steps),
-        final_state=keeper,
-        infidelity=keeper.infidelity,
-    )
+        success, accepted = _step_rows(keeper, fresh, kind, params.p_local, meas_flip)
+        path.append((kind, success[0], accepted[0]))
+        keeper = _stored_rows(accepted)
+    return _trace(base, path)
 
 
 def closed_form_infidelity(

@@ -120,6 +120,14 @@ class TestFlagErrors:
             (["plan", "--tau", "inf"], "argument --tau: --tau must be positive and finite, got inf"),
             (["plan", "--bound", "1.5"], "argument --bound: --bound expects an integer, got '1.5'"),
             (["plan", "--bound", "-1"], "argument --bound: --bound must be >= 0, got -1"),
+            (
+                ["plan", "--noise", "x"],
+                "argument --noise: --noise must be 'depolarizing' or 'dephasing', got 'x'",
+            ),
+            (
+                ["plan", "--restart-mode", "x"],
+                "argument --restart-mode: --restart-mode must be 'full' or 'level', got 'x'",
+            ),
         ],
     )
     def test_message(self, capsys, argv, message):
@@ -127,6 +135,25 @@ class TestFlagErrors:
             cli.main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"rnp plan: error: {message}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--t-mem", "1"],
+            ["sweep", "--t-mem", "1e-12"],
+            ["sweep", "--p-l", "0.5"],
+            ["pump", "--p-i", "0.4"],
+            ["pump", "--p-m", "0.3"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        # A command takes no flag that changes none of its output.  Sweep's
+        # --p-l is now an ambiguous prefix of its --p-l-min/max/points.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("rnp") and "error: " in err and argv[1] in err
 
 
 class TestPump:
@@ -143,6 +170,13 @@ class TestPump:
         assert lines[0]["kind"] == "bit"
         assert lines[1]["kind"] == "phase"
         assert "infidelity" in lines[-1]
+
+    def test_schedule_past_the_cap_exits_3(self, capsys):
+        assert run_cli(capsys, ["pump", "--n-b", "65"]) == (
+            3,
+            "",
+            "invalid parameter: n_b unreasonably large (65); cap is 64\n",
+        )
 
     def test_standard_scheme(self, capsys):
         code, out, _ = run_cli(capsys, ["pump", "--standard-steps", "4", "--json"])
@@ -217,6 +251,18 @@ class TestPlan:
             f"rnp plan: error: --noise {noise} contradicts --preset {preset}, "
             f"which sets --noise {cli.PRESETS[preset]['noise'].value}\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags,err",
+        [
+            # The flag parsers accept both; the timing model needs C >= 1
+            # and a finite optical time (tau = 1e308 overflows it).
+            (["--cavity-c", "0.5"], "purcell_c must be >= 1, got 0.5"),
+            (["--tau", "1e308"], "t_init must be positive, got inf"),
+        ],
+    )
+    def test_timing_domain_exits_3(self, capsys, flags, err):
+        assert run_cli(capsys, ["plan", *flags]) == (3, "", f"invalid parameter: {err}\n")
 
     def test_noise_defaults_to_depolarizing_without_a_preset(self, capsys):
         flags = ["--f", "0.9", "--p-l", "1e-4"]
@@ -370,6 +416,16 @@ class TestSweep:
             "budget search failed: no budget up to 1000000 reaches failure probability 1.6525763058411588e-05\n",
         )
 
+    def test_invalid_row_ends_the_sweep(self, capsys):
+        # The column stops at its first invalid row; the rows before it are
+        # composed, then the sweep exits 3 without writing any of them.
+        argv = ["sweep", "--f-min", "0.99", "--f-max", "0.5", "--f-points", "2", "--p-l-points", "1"]
+        assert run_cli(capsys, argv) == (
+            3,
+            "",
+            "unpurifiable fidelity: fidelity must exceed 0.5 for purification, got 0.5\n",
+        )
+
     def test_unwritable_path_exits_4(self, capsys):
         code, _, err = run_cli(capsys, SMALL_SWEEP + ["--out", "/nonexistent-dir/x.csv"])
         assert code == 4
@@ -382,6 +438,12 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    def test_zero_trials_exits_3(self, capsys):
+        # --trials parses any integer >= 0; the Monte-Carlo needs one trial.
+        code, out, err = run_cli(capsys, ["verify", "--trials", "0"])
+        assert (code, err) == (3, "invalid parameter: trials must be >= 1, got 0\n")
+        assert len(out.splitlines()) == 24  # the oracle grid runs first
 
     def test_seeded_reproducibility(self, capsys):
         code1, out1, _ = run_cli(capsys, ["verify", "--trials", "2000", "--seed", "9"])

@@ -11,10 +11,12 @@ from rnp import (
     BellDiagonalState,
     BudgetCapError,
     ErrorParams,
+    MeasurementPlan,
     NoiseKind,
     PumpSchedule,
     RestartMode,
     build_chain,
+    compose_plan,
     expected_pairs,
     failure_probability,
     plan,
@@ -582,6 +584,42 @@ class TestOptimizeSchedule:
         for got, want in zip(trace.steps, expect.steps, strict=True):
             assert got == want
         assert trace == expect
+
+
+class TestLibraryGuards:
+    # Inputs the CLI never passes, rejected by the library functions.
+    def test_restart_mode_must_be_an_enum(self):
+        with pytest.raises(ValidationError, match="restart_mode must be a RestartMode"):
+            build_chain(trace_from_probs([0.5], [0.5]), "full_restart")
+
+    def test_negative_budget(self):
+        with pytest.raises(ValidationError, match="budget must be >= 0"):
+            failure_probability(build_chain(trace_from_probs([0.5], [0.5]), RestartMode.FULL), -1)
+
+    def test_chain_that_cannot_absorb(self):
+        # Each step succeeds with 1e-200; the raw completing the fresh build
+        # carries their product, which underflows to 0.
+        chain = build_chain(trace_from_probs([1e-200], [1e-200]), RestartMode.FULL)
+        assert min(chain.step_success) == 0.0
+        with pytest.raises(ValidationError, match="cannot absorb"):
+            expected_pairs(chain)
+
+    @pytest.mark.parametrize("delta_min", [-1e-3, 1.0, float("nan")])
+    def test_delta_min_out_of_range(self, delta_min):
+        chain = build_chain(trace_from_probs([0.5], [0.5]), RestartMode.FULL)
+        with pytest.raises(ValidationError, match="delta_min must lie in"):
+            solve_budget(chain, delta_min)
+
+    @pytest.mark.parametrize("bound", [-1, 1.5])
+    def test_bad_bound(self, bound):
+        with pytest.raises(ValidationError, match="bound must be a nonnegative integer"):
+            search_schedule(column([0.9]), 1.2e-5, bound)
+
+    def test_plan_needs_a_readout_duration(self):
+        p = params(0.95)
+        (trace,) = search_schedule([p], 1.2e-5)
+        with pytest.raises(ValidationError, match="requires a MeasurementPlan with a duration"):
+            compose_plan(p, TIMINGS, MeasurementPlan(m=3, error_prob=1.2e-5), trace)
 
 
 TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)

@@ -58,6 +58,14 @@ class TestSimulatePumpStep:
             assert succ == pytest.approx(1.0, abs=1e-14)
             assert out.as_tuple() == pytest.approx((1, 0, 0, 0), abs=1e-12)
 
+    def test_readout_error_on_perfect_inputs(self):
+        # The odd-parity branch is empty but weighted: only the readout flips
+        # the comparison, so success is exactly 1 - 2*eps*(1-eps).
+        for kind in (StepKind.BIT, StepKind.PHASE):
+            succ, out = simulate_pump_step(PERFECT, PERFECT, kind, 0.0, 1e-2)
+            assert succ == pytest.approx(1.0 - 2e-2 * 0.99, abs=1e-14)
+            assert out.as_tuple() == pytest.approx((1, 0, 0, 0), abs=1e-12)
+
     def test_bit_step_reduces_bit_errors(self):
         w = raw_pair(params(0.95))
         _, out = simulate_pump_step(w, w, StepKind.BIT, 0.0, 0.0)

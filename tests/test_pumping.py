@@ -11,6 +11,7 @@ from rnp import (
     ErrorParams,
     NoiseKind,
     PumpSchedule,
+    PumpTrace,
     StepKind,
     UnpurifiableError,
     ValidationError,
@@ -262,6 +263,76 @@ class TestStepKernel:
         _step_rows(keepers[:1], fresh[:1], StepKind.BIT, 0.0, 0.0)
         with pytest.raises(ValidationError, match="zero acceptance"):
             _step_rows(keepers, fresh, StepKind.BIT, 0.0, 0.0)
+
+
+def loop_two_level(schedule, params, meas_flip):
+    """The per-step two-level loop the row engine replaced, kept as its
+    reference: n_b bit steps on a raw keeper with raw fresh pairs, then n_p
+    phase steps with the bit-purified pair as keeper and fresh input."""
+    base = raw_pair(params)
+    steps = []
+    keeper = base
+    for _ in range(schedule.n_b):
+        rec = pump_step(keeper, base, StepKind.BIT, params.p_local, meas_flip)
+        steps.append(rec)
+        keeper = rec.state_after_success
+    bit_purified = keeper
+    for _ in range(schedule.n_p):
+        rec = pump_step(keeper, bit_purified, StepKind.PHASE, params.p_local, meas_flip)
+        steps.append(rec)
+        keeper = rec.state_after_success
+    return PumpTrace(schedule, tuple(steps), keeper, keeper.infidelity)
+
+
+def loop_standard(total_steps, params, meas_flip):
+    """The per-step raw-fed loop the row kernel replaced, kept as its
+    reference: alternating bit and phase steps, each with a raw fresh pair."""
+    base = raw_pair(params)
+    keeper = base
+    steps = []
+    for i in range(total_steps):
+        kind = StepKind.BIT if i % 2 == 0 else StepKind.PHASE
+        rec = pump_step(keeper, base, kind, params.p_local, meas_flip)
+        steps.append(rec)
+        keeper = rec.state_after_success
+    n_p = total_steps // 2
+    return PumpTrace(PumpSchedule(total_steps - n_p, n_p), tuple(steps), keeper, keeper.infidelity)
+
+
+class TestStepLoopReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+        p_l=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        eps_m=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        noise=st.sampled_from(list(NoiseKind)),
+        n_b=st.integers(min_value=0, max_value=8),
+        n_p=st.integers(min_value=0, max_value=8),
+    )
+    def test_run_two_level_is_the_step_loop(self, f, p_l, eps_m, noise, n_b, n_p):
+        p = params(f, p_l, noise)
+        assert run_two_level(PumpSchedule(n_b, n_p), p, eps_m) == loop_two_level(PumpSchedule(n_b, n_p), p, eps_m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+        p_l=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        eps_m=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05)),
+        noise=st.sampled_from(list(NoiseKind)),
+        total_steps=st.integers(min_value=0, max_value=16),
+    )
+    def test_run_standard_is_the_step_loop(self, f, p_l, eps_m, noise, total_steps):
+        p = params(f, p_l, noise)
+        assert run_standard(total_steps, p, eps_m) == loop_standard(total_steps, p, eps_m)
+
+
+class TestTraceSchedule:
+    def test_steps_must_match_the_schedule(self):
+        rec = pump_step(PERFECT, PERFECT, StepKind.BIT, 0.0, 0.0)
+        PumpTrace(PumpSchedule(1, 0), (rec,), PERFECT, 0.0)
+        for schedule in (PumpSchedule(0, 0), PumpSchedule(0, 1), PumpSchedule(2, 0)):
+            with pytest.raises(ValidationError, match="trace steps do not match its schedule"):
+                PumpTrace(schedule, (rec,), PERFECT, 0.0)
 
 
 class TestRunStandard:
