@@ -332,18 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="rnp",
+        allow_abbrev=False,
         description="Planner for robust entanglement generation between few-qubit registers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_measure = sub.add_parser("measure", help="optimal majority-vote readout")
+    p_measure = sub.add_parser("measure", allow_abbrev=False, help="optimal majority-vote readout")
     _add_error_flags(p_measure)
     p_measure.add_argument("--m-max", type=_nonneg_int("--m-max"), default=25)
     _add_timing_flags(p_measure)
     p_measure.add_argument("--json", action="store_true")
     p_measure.set_defaults(func=_cmd_measure)
 
-    p_pump = sub.add_parser("pump", help="deterministic pumping trace")
+    p_pump = sub.add_parser("pump", allow_abbrev=False, help="deterministic pumping trace")
     _add_error_flags(p_pump, readout=False)
     p_pump.add_argument("--f", type=_prob("--f"), default=0.95, help="raw pair fidelity")
     p_pump.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pump.add_argument("--json", action="store_true", help="emit JSON lines")
     p_pump.set_defaults(func=_cmd_pump)
 
-    p_plan = sub.add_parser("plan", help="full plan for one parameter point (JSON)")
+    p_plan = sub.add_parser("plan", allow_abbrev=False, help="full plan for one parameter point (JSON)")
     p_plan.add_argument("--preset", choices=sorted(PRESETS), default=None)
     _add_error_flags(p_plan)
     p_plan.add_argument("--f", type=_prob("--f"), default=0.95)
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)
     p_plan.set_defaults(func=_cmd_plan)
 
-    p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="parameter sweep to CSV")
     _add_error_flags(p_sweep, gate=False)
     p_sweep.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
     _add_timing_flags(p_sweep)
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check grids")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the oracle cross-check grids")
     p_verify.add_argument("--trials", type=_nonneg_int("--trials"), default=100000)
     p_verify.add_argument("--seed", type=_nonneg_int("--seed"), default=7)
     p_verify.set_defaults(func=_cmd_verify)

@@ -13,10 +13,12 @@ pumping.py; agreement to 1e-10 is asserted by the verification suite.
 
 The Monte-Carlo walk draws counter-based Philox4x32-10 uniforms keyed by
 (seed, trial, draw), so its results do not depend on the order in which
-trials are processed, and each step generates just the draws it can use.
-Its per-state tables (``_step_tables``) transcribe the chain's state
-layout on their own rather than reading ``markov.build_chain``'s
-transitions: that way Monte-Carlo checks the chain instead of repeating it.
+trials are processed.  It steps from draw to draw rather than from raw
+pair to raw pair, so each step is one draw index shared by every
+unfinished trial and generates no draw a trial does not use.  Its
+per-event tables (``_event_tables``) transcribe the pumping process on
+their own rather than reading ``markov.build_chain``'s transitions: that
+way Monte-Carlo checks the chain instead of repeating it.
 """
 
 from __future__ import annotations
@@ -291,50 +293,46 @@ def philox_uniforms(seed: int, trial_ids: np.ndarray, draw_ids: np.ndarray) -> n
     return out
 
 
-def _step_tables(
+def _event_tables(
     bit_succ: np.ndarray, phase_succ: np.ndarray, full_restart: bool
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Per-state lookup tables of the Monte-Carlo walk.
 
-    States use the chain's layout b*(n_b+1) + r, plus a final finished
-    state.  Returns, per state: whether its raw pair draws a uniform, that
-    draw's success threshold, whether a successful draw is followed by the
-    phase comparison (drawn next), the comparison threshold, and the next
-    state on success and on failure.
+    States are draw events: state b*(n_b+1) + j is bit draw j+1 of build b
+    for j < n_b, and the phase comparison of build b >= 1 for j == n_b; the
+    last state is the finished one.  Returns, per state: the draw's success
+    threshold, the next state on success and on failure, and the raw pairs
+    spent to enter the state; then the first draw's state, which is also
+    where a full restart returns.  A build's first bit draw costs its base
+    raw and its own, a later one its own raw, and a comparison nothing,
+    since it reads a second uniform on the build's last raw.  With n_b = 0
+    a comparison costs its build's single raw, plus the keeper's raw when
+    a full restart re-enters build 1.
     """
     n_b = len(bit_succ)
     n_p = len(phase_succ)
     width = n_b + 1
-    n_states = (n_p + 1) * width + 1
-    drawing = np.zeros(n_states, dtype=bool)
-    threshold = np.zeros(n_states)
-    compares = np.zeros(n_states, dtype=bool)
-    comp_threshold = np.zeros(n_states)
-    on_success = np.full(n_states, n_states - 1, dtype=np.intp)
-    on_failure = np.full(n_states, n_states - 1, dtype=np.intp)
+    finished = (n_p + 1) * width
+    start = 0 if n_b else 1
+    threshold = np.zeros(finished + 1)
+    on_success = np.full(finished + 1, finished, dtype=np.intp)
+    on_failure = np.full(finished + 1, finished, dtype=np.intp)
+    cost = np.zeros(finished + 1, dtype=np.int64)
     for b in range(n_p + 1):
-        advance = (b + 1) * width if b < n_p else n_states - 1
-        restart = 0 if full_restart else b * width
-        for r in range(width):
-            s = b * width + r
-            on_failure[s] = restart
-            if n_b == 0:
-                # The single raw is the whole build; a fresh build is
-                # compared at once.
+        first = b * width
+        advance = first + width if b < n_p else finished
+        for j in range(width):
+            s = first + j
+            on_failure[s] = start if full_restart else first
+            if j < n_b:
+                threshold[s] = bit_succ[j]
+                cost[s] = 2 if j == 0 else 1
+                on_success[s] = s + 1 if j + 1 < n_b or b >= 1 else advance
+            elif b >= 1:
+                threshold[s] = phase_succ[b - 1]
+                cost[s] = 0 if n_b else 2 if full_restart and b == 1 else 1
                 on_success[s] = advance
-                if b >= 1:
-                    drawing[s] = True
-                    threshold[s] = phase_succ[b - 1]
-            elif r == 0:
-                on_success[s] = s + 1
-            else:
-                drawing[s] = True
-                threshold[s] = bit_succ[r - 1]
-                on_success[s] = s + 1 if r < n_b else advance
-                if r == n_b and b >= 1:
-                    compares[s] = True
-                    comp_threshold[s] = phase_succ[b - 1]
-    return drawing, threshold, compares, comp_threshold, on_success, on_failure
+    return threshold, on_success, on_failure, cost, start
 
 
 def mc_consumed_pairs(
@@ -346,63 +344,46 @@ def mc_consumed_pairs(
 ) -> np.ndarray:
     """Raw pairs consumed by each trial of the pumping process.
 
-    State per trial: build index b (0 = keeper, k = fresh pair for phase
-    step k) and r = raws already sunk into the current build, held as the
-    chain's state index b*(n_b+1) + r.  Each loop iteration consumes one
-    raw pair for every unfinished trial.  A base raw draws nothing, a bit
-    step draws one uniform, and a build-completing raw that passes its bit
-    step draws a second one for the phase comparison.  Failed draws
-    restart according to ``full_restart``.
+    Each trial walks the draw events of ``_event_tables``: every loop
+    iteration makes one draw for every unfinished trial, moves it to the
+    event's success or failure successor (failures restart according to
+    ``full_restart``) and adds the raw pairs spent to enter that state to
+    the trial's count.  Every trial spends two raw pairs before its first
+    draw (schedule (0, 0) draws nothing and spends one).
 
-    Draw k of a trial is always the Philox uniform (seed, trial, k), so
-    only the uniforms a step can use are generated, in one call per step:
-    the first draw of every drawing trial and, speculatively, the
-    comparison draw of every trial whose state would compare on success.
+    Draw k of a trial is always the Philox uniform (seed, trial, k), and at
+    iteration k every unfinished trial has made exactly k draws, so one
+    call with the shared draw id k generates just the draws a step uses.
     """
-    bit_succ = np.asarray(bit_succ, dtype=np.float64)
-    phase_succ = np.asarray(phase_succ, dtype=np.float64)
-    drawing_tab, thr_tab, comp_tab, comp_thr_tab, succ_tab, fail_tab = _step_tables(
-        bit_succ, phase_succ, full_restart
+    threshold, on_success, on_failure, cost, start = _event_tables(
+        np.asarray(bit_succ, dtype=np.float64),
+        np.asarray(phase_succ, dtype=np.float64),
+        full_restart,
     )
-    finished_state = len(succ_tab) - 1
+    finished = len(cost) - 1
+    consumed = np.full(trials, 2 if start < finished else 1, dtype=np.int64)
+    # Per-trial state, compacted to the still-running trials each iteration.
+    ids = np.arange(trials if start < finished else 0, dtype=np.uint32)
+    state = np.full(ids.size, start, dtype=np.intp)
+    pairs = consumed[ids]
+    draw = 0
 
-    consumed = np.zeros(trials, dtype=np.int64)
-    # Per-trial state, compacted to the still-running trials each sweep.
-    # Every live trial consumes exactly one raw pair per sweep, so a single
-    # step counter serves them all.
-    live = np.arange(trials, dtype=np.int64)
-    ids = live.astype(np.uint32)
-    state = np.zeros(trials, dtype=np.intp)
-    draws = np.zeros(trials, dtype=np.uint32)
-    steps = 0
-
-    while live.size:
-        steps += 1
-        if steps > HARD_CAP:
+    while ids.size:
+        # Entering the finished state costs nothing, so a trial's count
+        # before its last draw is already its total.  Every count grows at
+        # least every second draw, so this also bounds the loop.
+        if pairs.max() > HARD_CAP:
             raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
+        u = philox_uniforms(seed, ids, draw)
+        draw += 1
+        state = np.where(u < threshold[state], on_success[state], on_failure[state])
+        pairs += cost[state]
 
-        first = np.flatnonzero(drawing_tab[state])
-        comp = np.flatnonzero(comp_tab[state])
-        n_first = first.size
-        u = philox_uniforms(
-            seed,
-            np.concatenate((ids[first], ids[comp])),
-            np.concatenate((draws[first], draws[comp] + np.uint32(1))),
-        )
-        ok = np.ones(live.size, dtype=bool)
-        ok[first] = u[:n_first] < thr_tab[state[first]]
-        # The comparison is drawn only after a successful bit step.
-        bit_ok = ok[comp]
-        ok[comp] = bit_ok & (u[n_first:] < comp_thr_tab[state[comp]])
-        draws[first] += np.uint32(1)
-        draws[comp] += bit_ok
-        state = np.where(ok, succ_tab[state], fail_tab[state])
-
-        finished = state == finished_state
-        if finished.any():
-            consumed[live[finished]] = steps
-            keep = ~finished
-            live, ids, state, draws = live[keep], ids[keep], state[keep], draws[keep]
+        done = state == finished
+        if done.any():
+            consumed[ids[done]] = pairs[done]
+            keep = ~done
+            ids, state, pairs = ids[keep], state[keep], pairs[keep]
     return consumed
 
 

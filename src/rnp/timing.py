@@ -29,7 +29,10 @@ def optical_times(p_meas: float, eta: float, tau: float, purcell_c: float) -> tu
         raise ValidationError(f"purcell_c must be >= 1, got {purcell_c!r}")
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValidationError(f"tau must be positive, got {tau!r}")
-    t = math.log(p_meas) / math.log(1.0 - eta) * tau / purcell_c
+    log_miss = math.log(1.0 - eta)
+    if log_miss == 0.0:
+        raise ValidationError(f"eta must exceed 2**-54, where 1 - eta rounds to 1, got {eta!r}")
+    t = math.log(p_meas) / log_miss * tau / purcell_c
     return (t, t)
 
 
@@ -42,7 +45,7 @@ def entanglement_time(t_init: float, tau: float, purcell_c: float, eta: float) -
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie strictly inside (0, 1), got {eta!r}")
     if not (math.isfinite(t_init) and t_init > 0.0):
-        raise ValidationError(f"t_init must be positive, got {t_init!r}")
+        raise ValidationError(f"t_init must be positive and finite, got {t_init!r}")
     return (t_init + tau / purcell_c) / (eta * eta)
 
 

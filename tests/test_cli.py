@@ -148,12 +148,28 @@ class TestFlagErrors:
     )
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         # A command takes no flag that changes none of its output.  Sweep's
-        # --p-l is now an ambiguous prefix of its --p-l-min/max/points.
+        # --p-l is not a prefix of its --p-l-min/max/points either.
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("rnp") and "error: " in err and argv[1] in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--pre", "nv-dephasing", "--rest", "level"],
+            ["sweep", "--p-l-p", "1", "--f-p", "1"],
+        ],
+    )
+    def test_flag_prefixes_are_rejected(self, capsys, argv):
+        # Only whole flag names parse, so adding a flag cannot change what
+        # an abbreviation means.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
 
 
 class TestPump:
@@ -258,7 +274,9 @@ class TestPlan:
             # The flag parsers accept both; the timing model needs C >= 1
             # and a finite optical time (tau = 1e308 overflows it).
             (["--cavity-c", "0.5"], "purcell_c must be >= 1, got 0.5"),
-            (["--tau", "1e308"], "t_init must be positive, got inf"),
+            (["--tau", "1e308"], "t_init must be positive and finite, got inf"),
+            # ln(1 - eta) is 0 for eta <= 2**-54.
+            (["--eta", "1e-17"], "eta must exceed 2**-54, where 1 - eta rounds to 1, got 1e-17"),
         ],
     )
     def test_timing_domain_exits_3(self, capsys, flags, err):

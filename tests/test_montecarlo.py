@@ -147,6 +147,91 @@ def reference_mc_consumed_pairs(
     return consumed
 
 
+# The package's previous walk, kept unchanged as a second reference: one
+# loop iteration per raw pair, with per-state tables in the chain's layout
+# b*(n_b+1) + r and a comparison uniform drawn speculatively for every
+# trial whose state would compare on success.
+def _step_tables(bit_succ, phase_succ, full_restart):
+    n_b = len(bit_succ)
+    n_p = len(phase_succ)
+    width = n_b + 1
+    n_states = (n_p + 1) * width + 1
+    drawing = np.zeros(n_states, dtype=bool)
+    threshold = np.zeros(n_states)
+    compares = np.zeros(n_states, dtype=bool)
+    comp_threshold = np.zeros(n_states)
+    on_success = np.full(n_states, n_states - 1, dtype=np.intp)
+    on_failure = np.full(n_states, n_states - 1, dtype=np.intp)
+    for b in range(n_p + 1):
+        advance = (b + 1) * width if b < n_p else n_states - 1
+        restart = 0 if full_restart else b * width
+        for r in range(width):
+            s = b * width + r
+            on_failure[s] = restart
+            if n_b == 0:
+                # The single raw is the whole build; a fresh build is
+                # compared at once.
+                on_success[s] = advance
+                if b >= 1:
+                    drawing[s] = True
+                    threshold[s] = phase_succ[b - 1]
+            elif r == 0:
+                on_success[s] = s + 1
+            else:
+                drawing[s] = True
+                threshold[s] = bit_succ[r - 1]
+                on_success[s] = s + 1 if r < n_b else advance
+                if r == n_b and b >= 1:
+                    compares[s] = True
+                    comp_threshold[s] = phase_succ[b - 1]
+    return drawing, threshold, compares, comp_threshold, on_success, on_failure
+
+
+def raw_step_mc_consumed_pairs(bit_succ, phase_succ, full_restart, trials, seed):
+    bit_succ = np.asarray(bit_succ, dtype=np.float64)
+    phase_succ = np.asarray(phase_succ, dtype=np.float64)
+    drawing_tab, thr_tab, comp_tab, comp_thr_tab, succ_tab, fail_tab = _step_tables(
+        bit_succ, phase_succ, full_restart
+    )
+    finished_state = len(succ_tab) - 1
+
+    consumed = np.zeros(trials, dtype=np.int64)
+    live = np.arange(trials, dtype=np.int64)
+    ids = live.astype(np.uint32)
+    state = np.zeros(trials, dtype=np.intp)
+    draws = np.zeros(trials, dtype=np.uint32)
+    steps = 0
+
+    while live.size:
+        steps += 1
+        if steps > REFERENCE_HARD_CAP:
+            raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
+
+        first = np.flatnonzero(drawing_tab[state])
+        comp = np.flatnonzero(comp_tab[state])
+        n_first = first.size
+        u = oracle.philox_uniforms(
+            seed,
+            np.concatenate((ids[first], ids[comp])),
+            np.concatenate((draws[first], draws[comp] + np.uint32(1))),
+        )
+        ok = np.ones(live.size, dtype=bool)
+        ok[first] = u[:n_first] < thr_tab[state[first]]
+        # The comparison is drawn only after a successful bit step.
+        bit_ok = ok[comp]
+        ok[comp] = bit_ok & (u[n_first:] < comp_thr_tab[state[comp]])
+        draws[first] += np.uint32(1)
+        draws[comp] += bit_ok
+        state = np.where(ok, succ_tab[state], fail_tab[state])
+
+        finished = state == finished_state
+        if finished.any():
+            consumed[live[finished]] = steps
+            keep = ~finished
+            live, ids, state, draws = live[keep], ids[keep], state[keep], draws[keep]
+    return consumed
+
+
 def scalar_uniform(seed, trial, draw):
     x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
     return (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
@@ -266,17 +351,23 @@ def success_probs(trace):
     return bit, phase
 
 
+#: Step success probabilities, with exactly 1.0 drawn often.
+SUCCESS = st.one_of(st.just(1.0), st.floats(min_value=0.6, max_value=1.0))
+#: Seeds on both sides of 2**32, so both key words vary.
+SEED = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**32, max_value=2**64 - 1),
+)
+
+
 class TestKernelMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(
-        bit_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
-        phase_succ=st.lists(st.floats(min_value=0.6, max_value=1.0), max_size=4),
+        bit_succ=st.lists(SUCCESS, max_size=4),
+        phase_succ=st.lists(SUCCESS, max_size=4),
         mode=st.sampled_from(list(RestartMode)),
         trials=st.integers(min_value=1, max_value=200),
-        seed=st.one_of(
-            st.integers(min_value=0, max_value=2**32 - 1),
-            st.integers(min_value=2**32, max_value=2**64 - 1),
-        ),
+        seed=SEED,
     )
     def test_hypothesis_cases(self, bit_succ, phase_succ, mode, trials, seed):
         # Keep each walk short: full restart at p = 0.6 can need ~1e6 pairs.
@@ -285,6 +376,19 @@ class TestKernelMatchesReference:
         got = oracle.mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
         want = reference_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, raw_step_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    @pytest.mark.parametrize("n_b,n_p", [(0, 0), (1, 0), (0, 1), (2, 1)])
+    def test_edge_schedules_all_success(self, n_b, n_p, mode, seed):
+        # Every step succeeds, so every trial spends (n_b + 1)(n_p + 1) pairs.
+        bit, phase = np.ones(n_b), np.ones(n_p)
+        full = mode is RestartMode.FULL
+        got = oracle.mc_consumed_pairs(bit, phase, full, 50, seed)
+        assert np.array_equal(got, np.full(50, (n_b + 1) * (n_p + 1)))
+        assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 50, seed))
+        assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 50, seed))
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (4, 5), (0, 4)])
@@ -293,6 +397,7 @@ class TestKernelMatchesReference:
         full = mode is RestartMode.FULL
         got = oracle.mc_consumed_pairs(bit, phase, full, 20000, 7)
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 20000, 7))
+        assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 20000, 7))
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
     def test_philox_chunk_edges(self, n):
@@ -321,6 +426,53 @@ class TestKernelWork:
         consumed = oracle.mc_consumed_pairs(bit, phase, True, 20000, 7)
         assert len(calls) <= consumed.max()
         assert sum(calls) <= consumed.sum()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bit_succ=st.lists(SUCCESS, max_size=4),
+        phase_succ=st.lists(SUCCESS, max_size=4),
+        mode=st.sampled_from(list(RestartMode)),
+        trials=st.integers(min_value=1, max_value=100),
+        seed=SEED,
+    )
+    def test_one_shared_draw_id_per_call_and_no_repeated_draw(
+        self, bit_succ, phase_succ, mode, trials, seed
+    ):
+        assume(expected_pairs(chain_for_probs(bit_succ, phase_succ, mode)) <= 40.0)
+        calls = []
+        real = oracle.philox_uniforms
+
+        def recording(seed_, trial_ids, draw_ids):
+            assert seed_ == seed
+            calls.append((np.array(trial_ids, dtype=np.int64), np.asarray(draw_ids)))
+            return real(seed_, trial_ids, draw_ids)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "philox_uniforms", recording)
+            oracle.mc_consumed_pairs(bit_succ, phase_succ, mode is RestartMode.FULL, trials, seed)
+        per_trial = [[] for _ in range(trials)]
+        for k, (trial_ids, draw_id) in enumerate(calls):
+            # Call k draws uniform k of each trial it names, once each.
+            assert draw_id.ndim == 0 and int(draw_id) == k
+            assert len(set(trial_ids.tolist())) == trial_ids.size
+            for t in trial_ids:
+                per_trial[t].append(k)
+        counts = [len(draws) for draws in per_trial]
+        assert all(draws == list(range(d)) for draws, d in zip(per_trial, counts))
+        assert len(calls) == max(counts)
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    @pytest.mark.parametrize("n_b,n_p", [(2, 2), (0, 4)])
+    def test_hard_cap_is_exact(self, monkeypatch, n_b, n_p, mode):
+        # The walk raises iff some trial needs more than HARD_CAP pairs.
+        bit, phase = success_probs(trace_for(n_b, n_p))
+        full = mode is RestartMode.FULL
+        consumed = oracle.mc_consumed_pairs(bit, phase, full, 100, 7)
+        monkeypatch.setattr(oracle, "HARD_CAP", int(consumed.max()))
+        assert np.array_equal(oracle.mc_consumed_pairs(bit, phase, full, 100, 7), consumed)
+        monkeypatch.setattr(oracle, "HARD_CAP", int(consumed.max()) - 1)
+        with pytest.raises(RuntimeError, match="Monte-Carlo per-trial raw-pair cap exceeded"):
+            oracle.mc_consumed_pairs(bit, phase, full, 100, 7)
 
     def test_hard_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "HARD_CAP", 3)

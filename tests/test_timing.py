@@ -29,6 +29,13 @@ class TestOpticalTimes:
         with pytest.raises(ValidationError):
             optical_times(0.05, eta, 10e-9, 10.0)
 
+    def test_rejects_efficiency_where_one_minus_eta_rounds_to_one(self):
+        # 1 - 2**-54 is a tie that rounds to 1.0; anything above it does not.
+        with pytest.raises(ValidationError, match="eta must exceed 2"):
+            optical_times(0.05, 2.0**-54, 10e-9, 10.0)
+        t, _ = optical_times(0.05, 2.0**-53, 10e-9, 10.0)
+        assert math.isfinite(t) and t > 0.0
+
     def test_rejects_degenerate_p_meas(self):
         with pytest.raises(ValidationError):
             optical_times(1.0, 0.2, 10e-9, 10.0)
