@@ -30,6 +30,7 @@ from .pumping import (
     raw_pair,
     run_standard,
     run_two_level,
+    search_schedule,
 )
 from .markov import (
     MarkovChain,
@@ -38,7 +39,6 @@ from .markov import (
     expected_pairs,
     failure_probability,
     plan,
-    search_schedule,
     solve_budget,
 )
 from .oracle import DensityMatrix, MonteCarloResult, monte_carlo_pumping, simulate_pump_step

@@ -15,15 +15,7 @@ import sys
 
 import numpy as np
 
-from .markov import (
-    SEARCH_SLICE,
-    build_chain,
-    compose_plan,
-    expected_pairs,
-    failure_probability,
-    plan,
-    search_schedule,
-)
+from .markov import build_chain, compose_plan, expected_pairs, failure_probability, plan
 from .measurement import optimal_m
 from .model import (
     BudgetCapError,
@@ -36,7 +28,7 @@ from .model import (
     ValidationError,
 )
 from .oracle import monte_carlo_pumping, simulate_pump_step
-from .pumping import StepKind, pump_step, raw_pair, run_standard, run_two_level
+from .pumping import StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
 from .timing import build_timings, memory_check
 
 EXIT_OK = 0
@@ -106,11 +98,10 @@ def _noise_kind(text: str) -> NoiseKind:
 
 
 def _restart_mode(text: str) -> RestartMode:
-    aliases = {"full": RestartMode.FULL, "level": RestartMode.LEVEL}
-    try:
-        return aliases.get(text) or RestartMode(text)
-    except ValueError:
+    modes = {"full": RestartMode.FULL, "level": RestartMode.LEVEL}
+    if text not in modes:
         raise argparse.ArgumentTypeError(f"--restart-mode must be 'full' or 'level', got {text!r}")
+    return modes[text]
 
 
 def _cmd_measure(args) -> int:
@@ -135,9 +126,18 @@ def _cmd_pump(args) -> int:
     # The raw pair and the step maps read neither p_init nor p_meas.
     params = ErrorParams(p_local=args.p_l, p_init=0.0, p_meas=0.0, fidelity=args.f, noise=args.noise)
     if args.standard_steps is not None:
+        given = [flag for flag, v in (("--n-b", args.n_b), ("--n-p", args.n_p)) if v is not None]
+        if given:
+            print(
+                "rnp pump: error: --standard-steps runs the alternating scheme, which has no "
+                f"(n_b, n_p) schedule, and takes no {' or '.join(given)}",
+                file=sys.stderr,
+            )
+            return EXIT_FLAGS
         trace = run_standard(args.standard_steps, params, args.eps_m)
     else:
-        trace = run_two_level(PumpSchedule(n_b=args.n_b, n_p=args.n_p), params, args.eps_m)
+        schedule = PumpSchedule(n_b=2 if args.n_b is None else args.n_b, n_p=2 if args.n_p is None else args.n_p)
+        trace = run_two_level(schedule, params, args.eps_m)
     if args.json:
         for i, step in enumerate(trace.steps):
             print(
@@ -212,7 +212,9 @@ def _cmd_sweep(args) -> int:
     rows = []
     for p_l in p_l_grid:
         # One schedule search per p_L column, over its rows up to the first
-        # invalid one; rows are composed and fail in row order.
+        # invalid one; rows are composed and fail in row order.  No column of
+        # valid rows makes the search raise, so the first row to fail is the
+        # first that compose_plan rejects.
         column, invalid = [], None
         for f in f_grid:
             try:
@@ -222,11 +224,10 @@ def _cmd_sweep(args) -> int:
             except ValidationError as exc:
                 invalid = exc
                 break
-        # The readout plan depends on p_init, p_meas and p_local, not on F.
-        meas = optimal_m(column[0], timings=timings) if column else None
-        for lo in range(0, len(column), SEARCH_SLICE):  # holds one slice of traces at a time
-            part = column[lo : lo + SEARCH_SLICE]
-            for params, trace in zip(part, search_schedule(part, meas.error_prob, args.bound)):
+        if column:
+            # The readout plan depends on p_init, p_meas and p_local, not on F.
+            meas = optimal_m(column[0], timings=timings)
+            for params, trace in zip(column, search_schedule(column, meas.error_prob, args.bound)):
                 r = compose_plan(params, timings, meas, trace, args.restart_mode)
                 rows.append(
                     f"{params.p_local!r},{params.fidelity!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
@@ -348,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_error_flags(p_pump, readout=False)
     p_pump.add_argument("--f", type=_prob("--f"), default=0.95, help="raw pair fidelity")
     p_pump.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
-    p_pump.add_argument("--n-b", type=_nonneg_int("--n-b"), default=2)
-    p_pump.add_argument("--n-p", type=_nonneg_int("--n-p"), default=2)
+    p_pump.add_argument("--n-b", type=_nonneg_int("--n-b"), default=None, help="bit steps (default 2)")
+    p_pump.add_argument("--n-p", type=_nonneg_int("--n-p"), default=None, help="phase steps (default 2)")
     p_pump.add_argument("--eps-m", type=_prob("--eps-m"), default=0.0, help="voted readout error")
     p_pump.add_argument(
         "--standard-steps",

@@ -12,13 +12,11 @@ restart mode; DONE is the single absorbing state.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import pumping
 from .measurement import optimal_m
 from .model import (
     BudgetCapError,
@@ -30,27 +28,21 @@ from .model import (
     UselessLinkError,
     ValidationError,
 )
-from .pumping import PumpTrace, StepKind
+from .pumping import PumpTrace, StepKind, search_schedule
 
 __all__ = [
     "MarkovChain",
     "build_chain",
     "failure_probability",
     "expected_pairs",
-    "search_schedule",
     "solve_budget",
     "compose_plan",
     "plan",
     "BUDGET_CAP",
-    "SEARCH_SLICE",
 ]
 
 #: Hard cap on the raw-pair budget search.
 BUDGET_CAP = 10**6
-
-#: Raw pairs a schedule search steps at once.  Its arrays take ~32 KB per
-#: raw pair at bound 15, so a longer column is searched slice by slice.
-SEARCH_SLICE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +211,6 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
     if n == limit:
         raise BudgetCapError(f"no budget up to {cap} reaches failure probability {delta_min!r}")
     return n + 1
-
-
-def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int = 15) -> list[PumpTrace]:
-    """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity,
-    one per row of ``column``.
-
-    The rows must share ``p_local`` and ``noise``; they differ in the raw
-    fidelity (a sweep's F values at one p_L).  Ties break toward fewer total
-    steps, then fewer phase steps.  Dephased raw pairs carry no bit errors,
-    so their search is restricted to the one-level (n_b = 0) row.
-    """
-    if not isinstance(bound, int) or bound < 0:
-        raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
-    column = list(column)
-    if any((p.p_local, p.noise) != (column[0].p_local, column[0].noise) for p in column):
-        raise ValidationError("a search column must share p_local and noise")
-    traces: list[PumpTrace] = []
-    for lo in range(0, len(column), SEARCH_SLICE):
-        traces += pumping.search_two_level(column[lo : lo + SEARCH_SLICE], meas_flip, bound)
-    return traces
 
 
 def compose_plan(

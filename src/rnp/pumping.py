@@ -26,6 +26,7 @@ oracle computes; the oracle is the arbiter (they agree to 1e-10).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ from .model import (
     NoiseKind,
     PumpSchedule,
     StepKind,
-    UnpurifiableError,
     ValidationError,
 )
 
@@ -46,10 +46,15 @@ __all__ = [
     "raw_pair",
     "pump_step",
     "run_two_level",
-    "search_two_level",
+    "search_schedule",
+    "SEARCH_SLICE",
     "run_standard",
     "closed_form_infidelity",
 ]
+
+#: Raw pairs a schedule search steps at once.  Its arrays take ~32 KB per
+#: raw pair at bound 15, so a longer column is searched slice by slice.
+SEARCH_SLICE = 64
 
 
 def _cnot_gather(kind: StepKind) -> np.ndarray:
@@ -179,10 +184,9 @@ def raw_pair(params: ErrorParams) -> BellDiagonalState:
 
     Depolarizing generation spreads the infidelity evenly over the three
     error components (Werner form); dephasing puts it all on Phi-.
+    ``ErrorParams`` has already rejected F <= 0.5 (UnpurifiableError).
     """
     f = params.fidelity
-    if f <= 0.5:
-        raise UnpurifiableError(f"fidelity must exceed 0.5, got {f!r}")
     if params.noise is NoiseKind.DEPOLARIZING:
         e = (1.0 - f) / 3.0
         return BellDiagonalState(f, e, e, e)
@@ -229,34 +233,46 @@ def run_two_level(
     return _trace(base, path)
 
 
-def search_two_level(column: list[ErrorParams], meas_flip: float, bound: int) -> list[PumpTrace]:
-    """``markov.search_schedule`` on a nonempty column that it has checked.
+def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int = 15) -> list[PumpTrace]:
+    """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity,
+    one per row of ``column``.
+
+    The rows must share ``p_local`` and ``noise``; they differ in the raw
+    fidelity (a sweep's F values at one p_L).  Ties break toward fewer total
+    steps, then fewer phase steps.  Dephased raw pairs carry no bit errors,
+    so their search is restricted to the one-level (n_b = 0) row.
 
     Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
     bit-purified pair of n_b is that of n_b - 1 plus one bit step, so one
     ``_two_level_rows`` call of ``bound`` steps per level steps every
-    schedule of every row.
+    schedule of every row of a slice of ``SEARCH_SLICE`` rows.
     """
-    n = len(column)
-    bases = [raw_pair(p) for p in column]
-    n_b_max = 0 if column[0].noise is NoiseKind.DEPHASING else bound
-    bit_steps, phase_steps, keepers = _two_level_rows(
-        np.array([b.as_tuple() for b in bases]), n_b_max, bound, column[0].p_local, meas_flip
-    )
+    if not isinstance(bound, int) or bound < 0:
+        raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
+    column = list(column)
+    if any((p.p_local, p.noise) != (column[0].p_local, column[0].noise) for p in column):
+        raise ValidationError("a search column must share p_local and noise")
+    n_b_max = 0 if column and column[0].noise is NoiseKind.DEPHASING else bound
+    traces: list[PumpTrace] = []
+    for lo in range(0, len(column), SEARCH_SLICE):
+        bases = [raw_pair(p) for p in column[lo : lo + SEARCH_SLICE]]
+        n = len(bases)
+        bit_steps, phase_steps, keepers = _two_level_rows(
+            np.array([b.as_tuple() for b in bases]), n_b_max, bound, column[0].p_local, meas_flip
+        )
 
-    # Least infidelity; ties go to fewer total steps, then fewer phase steps.
-    pops = np.array(keepers)  # [n_p, n_b*n + i]: schedule (n_b, n_p) of row i
-    errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, n_b_max + 1, n)
-    p_steps, b_steps = np.indices(errors.shape[:2])
-    rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
-    rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
-    winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
+        # Least infidelity; ties go to fewer total steps, then fewer phase steps.
+        pops = np.array(keepers)  # [n_p, n_b*n + i]: schedule (n_b, n_p) of row i
+        errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, n_b_max + 1, n)
+        p_steps, b_steps = np.indices(errors.shape[:2])
+        rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
+        rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+        winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
 
-    traces = []
-    for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-        path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
-        path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
-        traces.append(_trace(base, path))
+        for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
+            path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
+            path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
+            traces.append(_trace(base, path))
     return traces
 
 

@@ -61,7 +61,9 @@ def test_exported_names_resolve(module):
 
 
 def test_stage_functions_exported():
-    for name in ("search_schedule", "build_chain", "solve_budget", "failure_probability", "expected_pairs", "plan"):
+    assert "search_schedule" in rnp.__all__
+    assert "search_schedule" in rnp.pumping.__all__
+    for name in ("build_chain", "solve_budget", "failure_probability", "expected_pairs", "plan"):
         assert name in rnp.__all__
         assert name in rnp.markov.__all__
 

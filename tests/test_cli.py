@@ -136,6 +136,18 @@ class TestFlagErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"rnp plan: error: {message}"
 
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    @pytest.mark.parametrize("text", ["full_restart", "level_restart", "FULL", "Level"])
+    def test_restart_mode_has_one_spelling_per_value(self, capsys, command, text):
+        # Only 'full' and 'level' parse; the enum values are not aliases.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--restart-mode", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"rnp {command}: error: argument --restart-mode: "
+            f"--restart-mode must be 'full' or 'level', got {text!r}"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -200,6 +212,30 @@ class TestPump:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         kinds = [l["kind"] for l in lines[:-1]]
         assert kinds == ["bit", "phase", "bit", "phase"]
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--n-b", "9"], "--n-b"),
+            (["--n-p", "2"], "--n-p"),
+            (["--n-b", "2", "--n-p", "2"], "--n-b or --n-p"),
+        ],
+    )
+    def test_schedule_flags_contradict_standard_steps(self, capsys, flags, named):
+        # The alternating scheme has no (n_b, n_p) schedule; a flag that sets
+        # one is an error, not ignored.  Even the default values count.
+        assert run_cli(capsys, ["pump", "--standard-steps", "1", *flags]) == (
+            2,
+            "",
+            "rnp pump: error: --standard-steps runs the alternating scheme, which has no "
+            f"(n_b, n_p) schedule, and takes no {named}\n",
+        )
+
+    def test_default_schedule_is_two_and_two(self, capsys):
+        assert run_cli(capsys, ["pump"]) == run_cli(capsys, ["pump", "--n-b", "2", "--n-p", "2"])
+        _, out, _ = run_cli(capsys, ["pump", "--json"])
+        kinds = [json.loads(line).get("kind") for line in out.splitlines()[:-1]]
+        assert kinds == ["bit", "bit", "phase", "phase"]
 
 
 class TestPlan:
@@ -299,6 +335,17 @@ class TestPlan:
         code2, out2, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_broken_stdout_exits_4(self, capsys, monkeypatch):
+        # Every command writes stdout; a reader that goes away (`| head -c 80`)
+        # is an I/O error, exit 4.
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", BrokenPipe())
+        assert cli.main(["plan"]) == 4
+        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
 
 
 #: The exit-3 messages the README documents for valid flags above F = 1/2.
@@ -442,6 +489,34 @@ class TestSweep:
             3,
             "",
             "unpurifiable fidelity: fidelity must exceed 0.5 for purification, got 0.5\n",
+        )
+
+    def test_column_longer_than_a_slice_equals_single_plans(self, capsys):
+        # One search per p_L column, however many search slices it spans.
+        n_f = pumping.SEARCH_SLICE + 5
+        argv = ["sweep", "--p-l-points", "1", "--f-min", "0.9", "--f-max", "0.999", "--f-points", str(n_f)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == n_f
+        timings = build_timings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
+        for row in rows:
+            p = ErrorParams(p_local=float(row[0]), p_init=0.05, p_meas=0.05, fidelity=float(row[1]))
+            r = plan(p, timings)
+            assert row == [
+                repr(p.p_local), repr(p.fidelity), "depolarizing", str(r.schedule.n_b), str(r.schedule.n_p),
+                repr(r.delta_min), repr(r.eps_fail), repr(r.eps_E), str(r.n_tot_budget),
+                repr(r.expected_pairs), repr(r.t_C), repr(r.gamma),
+            ]
+
+    def test_long_column_fails_at_its_first_row(self, capsys):
+        # 140 rows falling from F = 0.99 to 0.4: the valid rows span two
+        # search slices, and the first row already hits the budget cap.
+        argv = ["sweep", "--f-min", "0.99", "--f-max", "0.4", "--f-points", "140", "--p-l-points", "1"]
+        assert run_cli(capsys, argv) == (
+            3,
+            "",
+            "budget search failed: no budget up to 1000000 reaches failure probability 1.0558720064088672e-05\n",
         )
 
     def test_unwritable_path_exits_4(self, capsys):

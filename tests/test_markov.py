@@ -490,7 +490,7 @@ class TestOptimizeSchedule:
         # The kernel is looked up through rnp.pumping.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        for n_f in (1, 2, 10, markov.SEARCH_SLICE):
+        for n_f in (1, 2, 10, pumping.SEARCH_SLICE):
             batches.clear()
             search_schedule(column(np.linspace(0.9, 0.99, n_f), noise=noise), 1.2e-5, bound=15)
             assert len(batches) == calls
@@ -499,10 +499,10 @@ class TestOptimizeSchedule:
     def test_long_column_is_searched_in_slices(self, monkeypatch):
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        n_f = 2 * markov.SEARCH_SLICE + 3
+        n_f = 2 * pumping.SEARCH_SLICE + 3
         search_schedule(column(np.linspace(0.9, 0.99, n_f)), 1.2e-5, bound=15)
         assert len(batches) == 3 * 30
-        assert max(batches) == 16 * markov.SEARCH_SLICE
+        assert max(batches) == 16 * pumping.SEARCH_SLICE
         assert sum(batches) == 255 * n_f
 
     def test_empty_column(self, monkeypatch):
@@ -533,9 +533,28 @@ class TestOptimizeSchedule:
             assert trace == per_row_search(p, eps_m, bound)
             assert trace == prefix_sharing_search(p, eps_m, bound)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fs=st.lists(
+            st.one_of(st.just(0.5 + 1e-15), st.just(1.0), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
+            min_size=1,
+            max_size=8,
+        ),
+        p_l=st.one_of(st.sampled_from([0.0, 1e-12, 0.3, 0.9, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        meas_flip=st.one_of(
+            st.sampled_from([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        noise=st.sampled_from(list(NoiseKind)),
+    )
+    def test_search_never_raises_on_a_valid_column(self, fs, p_l, meas_flip, noise):
+        # The sweep searches a whole p_L column before it composes any row;
+        # its rows fail in row order only because this search cannot fail.
+        rows = column(fs, p_l, noise)
+        assert len(search_schedule(rows, meas_flip)) == len(rows)
+
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_column_longer_than_a_slice_matches_per_row_search(self, noise):
-        rows = column(np.linspace(0.9, 0.999, markov.SEARCH_SLICE + 5), 1e-5, noise)
+        rows = column(np.linspace(0.9, 0.999, pumping.SEARCH_SLICE + 5), 1e-5, noise)
         traces = search_schedule(rows, 1.2e-5)
         assert traces == [per_row_search(p, 1.2e-5, 15) for p in rows]
 
@@ -556,7 +575,7 @@ class TestOptimizeSchedule:
             return peak, kept
 
         search_schedule(column([0.9]), 1.2e-5)  # NumPy's first-call allocations
-        one_slice, _ = peak_and_kept(markov.SEARCH_SLICE)
+        one_slice, _ = peak_and_kept(pumping.SEARCH_SLICE)
         peak, kept = peak_and_kept(1000)
         assert peak - kept <= 2 * one_slice
 
