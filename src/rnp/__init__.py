@@ -11,7 +11,6 @@ from .model import (
     ErrorParams,
     MeasurementPlan,
     NoiseKind,
-    PhysicalTimings,
     PlanResult,
     PumpSchedule,
     RestartMode,
@@ -21,7 +20,7 @@ from .model import (
     ValidationError,
 )
 from .measurement import exact_vote_error, measurement_error, measurement_time, optimal_m
-from .timing import build_timings, entanglement_time, memory_check, optical_times
+from .timing import PhysicalTimings, memory_check
 from .pumping import (
     PumpTrace,
     StepRecord,
@@ -65,10 +64,8 @@ __all__ = [
     "UselessLinkError",
     "ValidationError",
     "build_chain",
-    "build_timings",
     "closed_form_infidelity",
     "compose_plan",
-    "entanglement_time",
     "expected_pairs",
     "failure_probability",
     "exact_vote_error",
@@ -76,7 +73,6 @@ __all__ = [
     "measurement_time",
     "memory_check",
     "monte_carlo_pumping",
-    "optical_times",
     "optimal_m",
     "plan",
     "pump_step",

@@ -28,8 +28,8 @@ from .model import (
     ValidationError,
 )
 from .oracle import monte_carlo_pumping, simulate_pump_step
-from .pumping import StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
-from .timing import build_timings, memory_check
+from .pumping import MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
+from .timing import PhysicalTimings, memory_check
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,6 +69,7 @@ def _number(parse, in_range, rule: str):
 _prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
+_standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
 
 
 def _add_error_flags(p: argparse.ArgumentParser, readout: bool = True, gate: bool = True) -> None:
@@ -106,7 +107,7 @@ def _restart_mode(text: str) -> RestartMode:
 
 def _cmd_measure(args) -> int:
     params = ErrorParams(p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=0.95)
-    timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local) if args.p_m > 0 and args.p_m < 1 else None
+    timings = PhysicalTimings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local) if args.p_m > 0 and args.p_m < 1 else None
     meas = optimal_m(params, m_max=args.m_max, timings=timings)
     payload = {
         "m": meas.m,
@@ -188,7 +189,7 @@ def _cmd_plan(args) -> int:
     params = ErrorParams(
         p_local=args.p_l, p_init=args.p_i, p_meas=args.p_m, fidelity=args.f, noise=args.noise
     )
-    timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
+    timings = PhysicalTimings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local, args.t_mem)
     meas = optimal_m(params, timings=timings)
     result = plan(params, timings, meas, bound=args.bound, restart_mode=args.restart_mode)
     # stdout carries exactly the PlanResult JSON; advisory output goes to stderr
@@ -207,7 +208,7 @@ def _cmd_plan(args) -> int:
 def _cmd_sweep(args) -> int:
     p_l_grid = np.geomspace(args.p_l_min, args.p_l_max, args.p_l_points)
     f_grid = np.linspace(args.f_min, args.f_max, args.f_points)
-    timings = build_timings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local)
+    timings = PhysicalTimings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local)
 
     rows = []
     for p_l in p_l_grid:
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pump.add_argument("--eps-m", type=_prob("--eps-m"), default=0.0, help="voted readout error")
     p_pump.add_argument(
         "--standard-steps",
-        type=_nonneg_int("--standard-steps"),
+        type=_standard_steps("--standard-steps"),
         default=None,
         help="run the alternating raw-fed scheme for this many steps instead",
     )

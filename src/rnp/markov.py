@@ -22,13 +22,13 @@ from .model import (
     BudgetCapError,
     ErrorParams,
     MeasurementPlan,
-    PhysicalTimings,
     PlanResult,
     RestartMode,
     UselessLinkError,
     ValidationError,
 )
 from .pumping import PumpTrace, StepKind, search_schedule
+from .timing import PhysicalTimings
 
 __all__ = [
     "MarkovChain",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .model import ErrorParams, MeasurementPlan, PhysicalTimings, ValidationError
+from .model import ErrorParams, MeasurementPlan, ValidationError
+from .timing import PhysicalTimings
 
 __all__ = ["measurement_error", "exact_vote_error", "measurement_time", "optimal_m"]
 

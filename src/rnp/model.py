@@ -1,7 +1,8 @@
 """Shared domain types for the register-network planner.
 
 Everything here is an immutable value object with constructor-time
-validation; the actual physics lives in the sibling modules.
+validation; the actual physics lives in the sibling modules, and so does
+the timing bundle, ``rnp.timing.PhysicalTimings``, which derives its times.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "BellDiagonalState",
     "PumpSchedule",
     "MeasurementPlan",
-    "PhysicalTimings",
     "PlanResult",
     "SUM_TOL",
 ]
@@ -212,47 +212,6 @@ class MeasurementPlan:
         _check_prob("error_prob", self.error_prob)
         if self.duration_s is not None:
             _check_positive("duration_s", self.duration_s)
-
-
-@dataclass(frozen=True)
-class PhysicalTimings:
-    """Hardware timing bundle.
-
-    t_local -- local two-qubit gate time [s]
-    tau     -- vacuum radiative lifetime of the emitter [s]
-    eta     -- photon collection/detection efficiency
-    purcell_c -- cavity Purcell factor (>= 1), shortens emission to tau/C
-    t_init, t_meas -- optical initialization / readout times (equal by
-        construction, both set by the same photon-scattering formula)
-    t_ent   -- mean time to herald one raw entangled pair
-    t_mem   -- optional storage-qubit memory time [s]
-    """
-
-    t_local: float
-    tau: float
-    eta: float
-    purcell_c: float
-    t_init: float
-    t_meas: float
-    t_ent: float
-    t_mem: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_positive("t_local", self.t_local)
-        _check_positive("tau", self.tau)
-        eta = float(self.eta)
-        if not (0.0 < eta < 1.0):
-            raise ValidationError(f"eta must lie strictly inside (0, 1), got {eta!r}")
-        c = float(self.purcell_c)
-        if not math.isfinite(c) or c < 1.0:
-            raise ValidationError(f"purcell_c must be >= 1, got {c!r}")
-        _check_positive("t_init", self.t_init)
-        _check_positive("t_meas", self.t_meas)
-        if abs(self.t_init - self.t_meas) > 1e-15 * max(self.t_init, self.t_meas):
-            raise ValidationError("t_init and t_meas must be equal (same optical process)")
-        _check_positive("t_ent", self.t_ent)
-        if self.t_mem is not None:
-            _check_positive("t_mem", self.t_mem)
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,11 @@ def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int 
     return traces
 
 
+#: Longest alternating run: its trace's schedule counts the bit and the phase
+#: steps, and a PumpSchedule holds at most 64 of each.
+MAX_STANDARD_STEPS = 128
+
+
 def run_standard(
     total_steps: int,
     params: ErrorParams,
@@ -287,8 +292,8 @@ def run_standard(
     raw fresh pairs keep re-injecting both error species, which floors the
     reachable infidelity.
     """
-    if not isinstance(total_steps, int) or total_steps < 0:
-        raise ValidationError(f"total_steps must be a nonnegative integer, got {total_steps!r}")
+    if not isinstance(total_steps, int) or not 0 <= total_steps <= MAX_STANDARD_STEPS:
+        raise ValidationError(f"total_steps must be an integer in [0, {MAX_STANDARD_STEPS}], got {total_steps!r}")
     base = raw_pair(params)
     fresh = keeper = np.array([base.as_tuple()])
     path = []

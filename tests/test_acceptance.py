@@ -31,9 +31,9 @@ from rnp import (
     simulate_pump_step,
 )
 from rnp import cli
-from rnp.timing import build_timings
+from rnp.timing import PhysicalTimings
 
-ION_TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
+ION_TIMINGS = PhysicalTimings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
 
 
 def params(f=0.95, p_l=1e-6, noise=NoiseKind.DEPOLARIZING):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnp import ErrorParams, NoiseKind, cli, plan, pumping
-from rnp.timing import build_timings
+from rnp.timing import PhysicalTimings
 
 SMALL_SWEEP = [
     "sweep",
@@ -213,6 +213,21 @@ class TestPump:
         kinds = [l["kind"] for l in lines[:-1]]
         assert kinds == ["bit", "phase", "bit", "phase"]
 
+    def test_standard_scheme_runs_up_to_its_cap(self, capsys):
+        code, out, _ = run_cli(capsys, ["pump", "--standard-steps", "128", "--json"])
+        assert code == 0
+        kinds = [json.loads(line).get("kind") for line in out.splitlines()[:-1]]
+        assert kinds == ["bit", "phase"] * 64
+
+    def test_standard_steps_past_the_cap_exits_2(self, capsys):
+        # 64 steps of each kind is the most a trace's schedule holds.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pump", "--standard-steps", "129"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "rnp pump: error: argument --standard-steps: --standard-steps must lie in [0, 128], got 129"
+        )
+
     @pytest.mark.parametrize(
         "flags,named",
         [
@@ -313,10 +328,19 @@ class TestPlan:
             (["--tau", "1e308"], "t_init must be positive and finite, got inf"),
             # ln(1 - eta) is 0 for eta <= 2**-54.
             (["--eta", "1e-17"], "eta must exceed 2**-54, where 1 - eta rounds to 1, got 1e-17"),
+            # tau = 1e307 leaves t_init finite but overflows the pair time.
+            (["--tau", "1e307"], "t_ent must be positive and finite, got inf"),
         ],
     )
     def test_timing_domain_exits_3(self, capsys, flags, err):
         assert run_cli(capsys, ["plan", *flags]) == (3, "", f"invalid parameter: {err}\n")
+
+    def test_p_cnot_raw_is_clamped_to_one(self, capsys):
+        # (1 - F) + 2 p_L + 2 p_M = 0.1 + 0.002 + 0.9 = 1.002 before the clamp.
+        argv = ["plan", "--p-l", "1e-3", "--f", "0.9", "--p-m", "0.45", "--p-i", "0"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["p_cnot_raw"] == 1.0
 
     def test_noise_defaults_to_depolarizing_without_a_preset(self, capsys):
         flags = ["--f", "0.9", "--p-l", "1e-4"]
@@ -460,7 +484,7 @@ class TestSweep:
             assert cli.main(argv) == 0
         rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
         assert len(rows) == p_l_points * f_points
-        timings = build_timings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
+        timings = PhysicalTimings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
         for row in rows:
             p = ErrorParams(
                 p_local=float(row[0]), p_init=0.05, p_meas=0.05, fidelity=float(row[1]), noise=NoiseKind(noise)
@@ -499,7 +523,7 @@ class TestSweep:
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == n_f
-        timings = build_timings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
+        timings = PhysicalTimings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
         for row in rows:
             p = ErrorParams(p_local=float(row[0]), p_init=0.05, p_meas=0.05, fidelity=float(row[1]))
             r = plan(p, timings)

@@ -28,7 +28,7 @@ from rnp import ValidationError, cli, markov, pumping
 from rnp.markov import MarkovChain
 from rnp.measurement import optimal_m
 from rnp.pumping import PumpTrace, StepKind, StepRecord
-from rnp.timing import build_timings
+from rnp.timing import PhysicalTimings
 
 
 def params(f=0.95, p_l=1e-6):
@@ -314,6 +314,17 @@ class TestSolveBudget:
         assert solve_budget(chain, 1e-6, cap=budget) == budget
         with pytest.raises(BudgetCapError):
             solve_budget(chain, 1e-6, cap=budget - 1)
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    def test_power_of_two_cap(self, mode):
+        # A power-of-two cap is the last rung the squaring may climb to.
+        chain = chain_for(4, 5, mode)
+        budget = solve_budget(chain, 1e-6)
+        below = 1 << ((budget - 1).bit_length() - 1)
+        with pytest.raises(BudgetCapError):
+            solve_budget(chain, 1e-6, cap=below)
+        for cap in (below << 1, below << 2):
+            assert solve_budget(chain, 1e-6, cap=cap) == budget
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -641,7 +652,7 @@ class TestLibraryGuards:
             compose_plan(p, TIMINGS, MeasurementPlan(m=3, error_prob=1.2e-5), trace)
 
 
-TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
+TIMINGS = PhysicalTimings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rnp import ErrorParams, ValidationError, exact_vote_error, measurement_error, measurement_time, optimal_m
-from rnp.timing import build_timings
+from rnp.timing import PhysicalTimings
 
 
 def params(p_l=1e-4, p_i=0.05, p_m=0.05):
     return ErrorParams(p_local=p_l, p_init=p_i, p_meas=p_m, fidelity=0.95)
 
 
-ION_TIMINGS = build_timings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
+ION_TIMINGS = PhysicalTimings(p_meas=0.05, eta=0.2, tau=10e-9, purcell_c=10.0, t_local=0.1e-6)
 
 
 class TestMeasurementError:

@@ -362,6 +362,15 @@ class TestRunStandard:
         assert trace.schedule.n_b == 3
         assert trace.schedule.n_p == 2
 
+    def test_runs_up_to_64_steps_of_each_kind(self):
+        # The trace's schedule counts each kind, and a PumpSchedule holds 64 of each.
+        assert run_standard(128, params(), 0.0).schedule == PumpSchedule(64, 64)
+
+    @pytest.mark.parametrize("total_steps", [129, -1, 2.0])
+    def test_rejects_a_run_past_the_cap(self, total_steps):
+        with pytest.raises(ValidationError, match=r"^total_steps must be an integer in \[0, 128\], got "):
+            run_standard(total_steps, params(), 0.0)
+
 
 class TestClosedForm:
     def test_no_pumping_value(self):
