@@ -70,6 +70,8 @@ _prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
 _standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
+_trials = _number(int, lambda v: 1 <= v <= 2**32, "must lie in [1, 4294967296]")
+_seed = _number(int, lambda v: 0 <= v < 2**64, "must lie in [0, 18446744073709551615]")
 
 
 def _add_error_flags(p: argparse.ArgumentParser, readout: bool = True, gate: bool = True) -> None:
@@ -390,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False, help="run the oracle cross-check grids")
-    p_verify.add_argument("--trials", type=_nonneg_int("--trials"), default=100000)
-    p_verify.add_argument("--seed", type=_nonneg_int("--seed"), default=7)
+    p_verify.add_argument("--trials", type=_trials("--trials"), default=100000)
+    p_verify.add_argument("--seed", type=_seed("--seed"), default=7)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -220,8 +220,9 @@ def simulate_pump_step(
     return float(min(success, 1.0)), BellDiagonalState.from_vector(probs)
 
 
-#: Round multipliers of counter words 0 and 2, as a column for (2, n) lanes.
-_MULT = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_M0, _M1 = 0xD2511F53, 0xCD9E8D57
+#: Round multipliers of counter words 2 and 0, a column for ``mul[::-1]``.
+_MULT = np.array([[_M1], [_M0]], dtype=np.uint64)
 _BUMP = (0x9E3779B9, 0xBB67AE85)
 _MASK32 = 0xFFFFFFFF
 # Array operands: NumPy takes these faster than uint64 scalars.
@@ -237,59 +238,76 @@ _CHUNK = 8192
 HARD_CAP = 10_000_000
 
 
+@functools.lru_cache(maxsize=64)
 def _round_keys(seed: int) -> np.ndarray:
-    """The ten round keys (k0, k1), each as a (2, 1) column."""
+    """The ten round keys (k0, k1), each as a (2, 1) column; cached, so read-only."""
     key = (seed & _MASK32, (seed >> 32) & _MASK32)
-    return np.array(
+    keys = np.array(
         [[[(k + i * bump) & _MASK32] for k, bump in zip(key, _BUMP)] for i in range(10)],
         dtype=np.uint64,
     )
+    keys.flags.writeable = False
+    return keys
 
 
-def philox_uniforms(seed: int, trial_ids: np.ndarray, draw_ids: np.ndarray) -> np.ndarray:
-    """Philox4x32-10 uniforms in [0, 1), one per (trial, draw) pair.
+def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
+    """Philox4x32-10 uniforms in [0, 1), one per trial id, all at one draw id.
 
     Counter layout: (draw, trial, 0, 0); key: the 64-bit seed split into
     two 32-bit words.  The first two output words form the 64-bit value
     whose top 53 bits make the double.
 
-    The counter words are held as 32-bit values in ``uint64`` lanes, so a
-    round's 32x32-bit products are exact: ``mul`` = (c0, c2) is multiplied
-    by the round multipliers, and ``mix`` = (c1, c3) is XORed into the
-    swapped high halves.  Every round runs in place on fixed-size chunks.
+    Counter words are 32-bit values in ``uint64`` lanes, so products are
+    exact: ``mul`` = (c0, c2) is multiplied by the round multipliers and
+    ``mix`` = (c1, c3) XORed into the high halves, in place on fixed-size
+    chunks.  With ``draw`` shared, trial-free words are ints until round 3.
     """
-    draw_ids, trial_ids = np.broadcast_arrays(
-        np.asarray(draw_ids, dtype=np.uint32), np.asarray(trial_ids, dtype=np.uint32)
-    )
-    out = np.empty(draw_ids.shape, dtype=np.float64)
-    n = out.size
-    if n == 0:
-        return out
-    draws = draw_ids.reshape(-1)
-    trials = trial_ids.reshape(-1)
-    flat = out.reshape(-1)
+    if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
+        raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
+    trials = np.asarray(trial_ids, dtype=np.uint32).reshape(-1)
+    n = trials.size
+    out = np.empty(n, dtype=np.float64)
     keys = _round_keys(seed)
+    (k0, k1), (k0_2, k1_2), (k0_3, k1_3) = keys[:3, :, 0].tolist()
+    # Round r's key is (k0_r, k1_r).  Round 1 leaves c0 = trial ^ k0, c1 = 0 and
+    # scalar c2, c3 (from p0); round 2's c2*M1 (p1) and round 3's c0*M0 (q0) too.
+    p0 = _M0 * int(draw)
+    p1 = _M1 * ((p0 >> 32) ^ k1)
+    q0 = _M0 * ((p1 >> 32) ^ k0_2)
     width = min(n, _CHUNK)
     buffers = [np.empty((2, width), dtype=np.uint64) for _ in range(3)]
     for lo in range(0, n, _CHUNK):
         m = min(n - lo, _CHUNK)
         mul, mix, prod = (buf[:, :m] for buf in buffers)
-        mul[0] = draws[lo : lo + m]
-        mix[0] = trials[lo : lo + m]
-        mul[1] = 0
-        mix[1] = 0
-        swapped = prod[::-1]
-        for key in keys:
-            np.multiply(mul, _MULT, out=prod)
-            np.right_shift(swapped, _SHIFT32, out=mul)
+        # Round 2, per trial: (trial ^ k0) * M0 gives c2 and c3.
+        np.bitwise_xor(trials[lo : lo + m], k0, out=prod[0])
+        np.multiply(prod[0], _MULT[1], out=prod[0])
+        np.right_shift(prod[0], _SHIFT32, out=mul[1])
+        np.bitwise_xor(mul[1], (p0 & _MASK32) ^ k1_2, out=mul[1])
+        np.bitwise_and(prod[0], _LOW32, out=mix[1])
+        # Round 3, per trial: c2 * M1 gives c0 and c1; q0 gives c2 and c3.
+        np.multiply(mul[1], _MULT[0], out=prod[1])
+        np.right_shift(prod[1], _SHIFT32, out=mul[0])
+        np.bitwise_xor(mul[0], (p1 & _MASK32) ^ k0_3, out=mul[0])
+        np.bitwise_and(prod[1], _LOW32, out=mix[0])
+        np.bitwise_xor(mix[1], (q0 >> 32) ^ k1_3, out=mul[1])
+        mix[1] = q0 & _MASK32
+        swapped = mul[::-1]
+        for key in keys[3:9]:
+            np.multiply(swapped, _MULT, out=prod)
+            np.right_shift(prod, _SHIFT32, out=mul)
             np.bitwise_xor(mul, mix, out=mul)
             np.bitwise_xor(mul, key, out=mul)
-            np.bitwise_and(swapped, _LOW32, out=mix)
-        word = mix[0]
-        np.left_shift(word, _SHIFT32, out=word)
-        np.bitwise_or(word, mul[0], out=word)
-        np.right_shift(word, _SHIFT11, out=word)
-        np.multiply(word, _INV53, out=flat[lo : lo + m])
+            np.bitwise_and(prod, _LOW32, out=mix)
+        # Round 10, words 0 and 1 only: p1 = c2*M1 gives (p1 << 32) | (p1 >> 32 ^ c1 ^ k0).
+        np.multiply(mul[1], _MULT[0], out=prod[1])
+        np.right_shift(prod[1], _SHIFT32, out=mul[0])
+        np.bitwise_xor(mul[0], mix[0], out=mul[0])
+        np.bitwise_xor(mul[0], keys[9, 0], out=mul[0])
+        np.left_shift(prod[1], _SHIFT32, out=prod[1])
+        np.bitwise_or(prod[1], mul[0], out=prod[1])
+        np.right_shift(prod[1], _SHIFT11, out=prod[1])
+        np.multiply(prod[1], _INV53, out=out[lo : lo + m])
     return out
 
 
@@ -361,29 +379,32 @@ def mc_consumed_pairs(
         full_restart,
     )
     finished = len(cost) - 1
+    # States are held doubled, so state + failed indexes the successor table.
+    successor = 2 * np.stack((on_success, on_failure), axis=1).reshape(-1)
+    threshold, cost = np.repeat(threshold, 2), np.repeat(cost, 2)
     consumed = np.full(trials, 2 if start < finished else 1, dtype=np.int64)
     # Per-trial state, compacted to the still-running trials each iteration.
     ids = np.arange(trials if start < finished else 0, dtype=np.uint32)
-    state = np.full(ids.size, start, dtype=np.intp)
+    state = np.full(ids.size, 2 * start, dtype=np.intp)
     pairs = consumed[ids]
     draw = 0
 
     while ids.size:
         # Entering the finished state costs nothing, so a trial's count
-        # before its last draw is already its total.  Every count grows at
-        # least every second draw, so this also bounds the loop.
-        if pairs.max() > HARD_CAP:
+        # before its last draw is already its total.  Counts start at 2 and
+        # grow by at most 2 a draw, so none passes the cap before 2 + 2*draw
+        # does; each grows at least every second draw, bounding the loop.
+        if 2 + 2 * draw > HARD_CAP and pairs.max() > HARD_CAP:
             raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
         u = philox_uniforms(seed, ids, draw)
         draw += 1
-        state = np.where(u < threshold[state], on_success[state], on_failure[state])
-        pairs += cost[state]
+        state = successor.take(state + (u >= threshold.take(state)))
+        pairs += cost.take(state)
 
-        done = state == finished
-        if done.any():
-            consumed[ids[done]] = pairs[done]
-            keep = ~done
-            ids, state, pairs = ids[keep], state[keep], pairs[keep]
+        keep = np.flatnonzero(state != 2 * finished)
+        if keep.size < ids.size:
+            consumed[ids] = pairs
+            ids, state, pairs = ids.take(keep), state.take(keep), pairs.take(keep)
     return consumed
 
 
@@ -419,8 +440,11 @@ def monte_carlo_pumping(
     Each trial runs to absorption; the budget only classifies it
     as failed (consumed > budget).
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials!r}")
+    # A trial id is one 32-bit counter word, and the seed the two key words.
+    if not 1 <= trials <= 2**32:
+        raise ValidationError(f"trials must lie in [1, 2**32], got {trials!r}")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
     if budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget!r}")
     bit_succ = np.array(
@@ -430,14 +454,8 @@ def monte_carlo_pumping(
         [s.success_prob for s in trace.steps if s.kind is StepKind.PHASE], dtype=np.float64
     )
 
-    consumed = mc_consumed_pairs(
-        bit_succ,
-        phase_succ,
-        restart_mode is RestartMode.FULL,
-        int(trials),
-        int(seed) & 0xFFFFFFFFFFFFFFFF,
-    )
-    consumed = np.asarray(consumed, dtype=np.float64)
+    full = restart_mode is RestartMode.FULL
+    consumed = mc_consumed_pairs(bit_succ, phase_succ, full, int(trials), int(seed)).astype(np.float64)
     fails = consumed > budget
     fail_fraction = float(np.mean(fails))
     mean_pairs = float(np.mean(consumed))

@@ -556,11 +556,26 @@ class TestVerify:
         assert "FAIL" not in out
         assert "checks passed" in out
 
-    def test_zero_trials_exits_3(self, capsys):
-        # --trials parses any integer >= 0; the Monte-Carlo needs one trial.
-        code, out, err = run_cli(capsys, ["verify", "--trials", "0"])
-        assert (code, err) == (3, "invalid parameter: trials must be >= 1, got 0\n")
-        assert len(out.splitlines()) == 24  # the oracle grid runs first
+    @pytest.mark.parametrize(
+        "flag,text,rule",
+        [
+            ("--trials", "0", "must lie in [1, 4294967296]"),
+            ("--trials", "-3", "must lie in [1, 4294967296]"),
+            ("--trials", "4294967297", "must lie in [1, 4294967296]"),
+            ("--seed", "-1", "must lie in [0, 18446744073709551615]"),
+            ("--seed", "18446744073709551616", "must lie in [0, 18446744073709551615]"),
+        ],
+    )
+    def test_trials_and_seed_outside_the_philox_words_exit_2(self, capsys, flag, text, rule):
+        # A trial id is one 32-bit Philox counter word and the seed its two
+        # key words, so a larger value would alias another stream.  Nothing
+        # runs: the oracle grid does not start.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag, text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"rnp verify: error: argument {flag}: {flag} {rule}, got {text}"
 
     def test_seeded_reproducibility(self, capsys):
         code1, out1, _ = run_cli(capsys, ["verify", "--trials", "2000", "--seed", "9"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import exact
@@ -799,3 +800,44 @@ class TestPlanProperties:
         level = plan(p, TIMINGS, meas, restart_mode=RestartMode.LEVEL)
         assert level.schedule == full.schedule
         assert level.expected_pairs <= full.expected_pairs
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(list(RestartMode)), data=st.data(), **plan_points)
+    def test_eps_fail_does_not_increase_with_the_budget(self, f, p_l, noise, mode, data):
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        meas = optimal_m(p, timings=TIMINGS)
+        chain = build_chain(search_schedule([p], meas.error_prob)[0], mode)
+        budget = st.integers(min_value=0, max_value=64 * chain.min_pairs)
+        budgets = sorted(data.draw(st.lists(budget, min_size=2, max_size=8)) + [chain.min_pairs])
+        masses = [failure_probability(chain, n) for n in budgets]
+        # Up to rounding: Q^n and Q^(n+1) are different products of powers,
+        # so two budgets with the same exact mass can differ by a few ulps
+        # (2 at most in 600 scratch points).
+        assert all(later <= earlier + 8 * math.ulp(earlier) for earlier, later in zip(masses, masses[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(list(RestartMode)), **plan_points)
+    def test_expected_pairs_and_gamma_bound_their_parts(self, f, p_l, noise, mode):
+        p = ErrorParams(p_local=p_l, p_init=0.05, p_meas=0.05, fidelity=f, noise=noise)
+        meas = optimal_m(p, timings=TIMINGS)
+        try:
+            r = plan(p, TIMINGS, meas, restart_mode=mode)
+        except BudgetCapError:
+            reject()
+        chain = build_chain(search_schedule([p], meas.error_prob)[0], mode)
+        assert r.expected_pairs >= chain.min_pairs
+        assert r.gamma >= r.eps_E
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fs=st.lists(st.floats(min_value=0.8, max_value=1.0), min_size=2, max_size=12),
+        p_l=plan_points["p_l"],
+        noise=plan_points["noise"],
+    )
+    def test_delta_min_does_not_increase_with_f(self, fs, p_l, noise):
+        # One sorted column gives every F of a p_L at once; the readout
+        # depends on p_L only, so the rows share it.
+        rows = column(sorted(fs), p_l=p_l, noise=noise)
+        meas = optimal_m(rows[0], timings=TIMINGS)
+        deltas = [t.infidelity for t in search_schedule(rows, meas.error_prob)]
+        assert all(later <= earlier for earlier, later in zip(deltas, deltas[1:]))

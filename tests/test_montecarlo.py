@@ -14,7 +14,7 @@ from rnp import (
     monte_carlo_pumping,
     run_two_level,
 )
-from rnp import oracle
+from rnp import ValidationError, oracle
 from rnp.model import BellDiagonalState, StepKind
 from rnp.pumping import PumpTrace, StepRecord
 
@@ -210,7 +210,7 @@ def raw_step_mc_consumed_pairs(bit_succ, phase_succ, full_restart, trials, seed)
         first = np.flatnonzero(drawing_tab[state])
         comp = np.flatnonzero(comp_tab[state])
         n_first = first.size
-        u = oracle.philox_uniforms(
+        u = vector_philox_uniforms(
             seed,
             np.concatenate((ids[first], ids[comp])),
             np.concatenate((draws[first], draws[comp] + np.uint32(1))),
@@ -229,6 +229,128 @@ def raw_step_mc_consumed_pairs(bit_succ, phase_succ, full_restart, trials, seed)
             consumed[live[finished]] = steps
             keep = ~finished
             live, ids, state, draws = live[keep], ids[keep], state[keep], draws[keep]
+    return consumed
+
+
+# The package's previous Philox, kept unchanged as a reference: it takes
+# one draw id per element and runs all ten rounds on both lanes.  Only its
+# module constants are renamed here.
+_VECTOR_MULT = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_VECTOR_BUMP = (0x9E3779B9, 0xBB67AE85)
+_VECTOR_SHIFT32 = np.array([32], dtype=np.uint64)
+_VECTOR_LOW32 = np.array([0xFFFFFFFF], dtype=np.uint64)
+_VECTOR_SHIFT11 = np.array([11], dtype=np.uint64)
+_VECTOR_CHUNK = 8192
+
+
+def _vector_round_keys(seed: int) -> np.ndarray:
+    """The ten round keys (k0, k1), each as a (2, 1) column."""
+    key = (seed & _MASK32, (seed >> 32) & _MASK32)
+    return np.array(
+        [[[(k + i * bump) & _MASK32] for k, bump in zip(key, _VECTOR_BUMP)] for i in range(10)],
+        dtype=np.uint64,
+    )
+
+
+def vector_philox_uniforms(seed: int, trial_ids: np.ndarray, draw_ids: np.ndarray) -> np.ndarray:
+    """Philox4x32-10 uniforms in [0, 1), one per (trial, draw) pair.
+
+    Counter layout: (draw, trial, 0, 0); key: the 64-bit seed split into
+    two 32-bit words.  The first two output words form the 64-bit value
+    whose top 53 bits make the double.
+
+    The counter words are held as 32-bit values in ``uint64`` lanes, so a
+    round's 32x32-bit products are exact: ``mul`` = (c0, c2) is multiplied
+    by the round multipliers, and ``mix`` = (c1, c3) is XORed into the
+    swapped high halves.  Every round runs in place on fixed-size chunks.
+    """
+    draw_ids, trial_ids = np.broadcast_arrays(
+        np.asarray(draw_ids, dtype=np.uint32), np.asarray(trial_ids, dtype=np.uint32)
+    )
+    out = np.empty(draw_ids.shape, dtype=np.float64)
+    n = out.size
+    if n == 0:
+        return out
+    draws = draw_ids.reshape(-1)
+    trials = trial_ids.reshape(-1)
+    flat = out.reshape(-1)
+    keys = _vector_round_keys(seed)
+    width = min(n, _VECTOR_CHUNK)
+    buffers = [np.empty((2, width), dtype=np.uint64) for _ in range(3)]
+    for lo in range(0, n, _VECTOR_CHUNK):
+        m = min(n - lo, _VECTOR_CHUNK)
+        mul, mix, prod = (buf[:, :m] for buf in buffers)
+        mul[0] = draws[lo : lo + m]
+        mix[0] = trials[lo : lo + m]
+        mul[1] = 0
+        mix[1] = 0
+        swapped = prod[::-1]
+        for key in keys:
+            np.multiply(mul, _VECTOR_MULT, out=prod)
+            np.right_shift(swapped, _VECTOR_SHIFT32, out=mul)
+            np.bitwise_xor(mul, mix, out=mul)
+            np.bitwise_xor(mul, key, out=mul)
+            np.bitwise_and(swapped, _VECTOR_LOW32, out=mix)
+        word = mix[0]
+        np.left_shift(word, _VECTOR_SHIFT32, out=word)
+        np.bitwise_or(word, mul[0], out=word)
+        np.right_shift(word, _VECTOR_SHIFT11, out=word)
+        np.multiply(word, _INV53, out=flat[lo : lo + m])
+    return out
+
+
+# The package's previous event walk, kept unchanged as a reference (its
+# Philox is the vector one above): separate success and failure gathers, a
+# boolean-mask compaction, and the cap checked at every iteration.
+def event_walk_mc_consumed_pairs(
+    bit_succ: np.ndarray,
+    phase_succ: np.ndarray,
+    full_restart: bool,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Raw pairs consumed by each trial of the pumping process.
+
+    Each trial walks the draw events of ``_event_tables``: every loop
+    iteration makes one draw for every unfinished trial, moves it to the
+    event's success or failure successor (failures restart according to
+    ``full_restart``) and adds the raw pairs spent to enter that state to
+    the trial's count.  Every trial spends two raw pairs before its first
+    draw (schedule (0, 0) draws nothing and spends one).
+
+    Draw k of a trial is always the Philox uniform (seed, trial, k), and at
+    iteration k every unfinished trial has made exactly k draws, so one
+    call with the shared draw id k generates just the draws a step uses.
+    """
+    threshold, on_success, on_failure, cost, start = oracle._event_tables(
+        np.asarray(bit_succ, dtype=np.float64),
+        np.asarray(phase_succ, dtype=np.float64),
+        full_restart,
+    )
+    finished = len(cost) - 1
+    consumed = np.full(trials, 2 if start < finished else 1, dtype=np.int64)
+    # Per-trial state, compacted to the still-running trials each iteration.
+    ids = np.arange(trials if start < finished else 0, dtype=np.uint32)
+    state = np.full(ids.size, start, dtype=np.intp)
+    pairs = consumed[ids]
+    draw = 0
+
+    while ids.size:
+        # Entering the finished state costs nothing, so a trial's count
+        # before its last draw is already its total.  Every count grows at
+        # least every second draw, so this also bounds the loop.
+        if pairs.max() > REFERENCE_HARD_CAP:
+            raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
+        u = vector_philox_uniforms(seed, ids, draw)
+        draw += 1
+        state = np.where(u < threshold[state], on_success[state], on_failure[state])
+        pairs += cost[state]
+
+        done = state == finished
+        if done.any():
+            consumed[ids[done]] = pairs[done]
+            keep = ~done
+            ids, state, pairs = ids[keep], state[keep], pairs[keep]
     return consumed
 
 
@@ -270,22 +392,40 @@ class TestPhilox:
         ) == (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)
 
     def test_backends_match_reference(self):
-        u = oracle.philox_uniforms(0, np.array([0], dtype=np.uint32), np.array([0], dtype=np.uint32))
+        u = oracle.philox_uniforms(0, np.array([0], dtype=np.uint32), 0)
         assert u[0] == KAT_ZERO_UNIFORM
         # a couple of nonzero streams against the scalar reference
         for seed, trial, draw in [(7, 3, 11), (2**40 + 5, 1000, 0)]:
             x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
             expect = (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
-            got = oracle.philox_uniforms(
-                seed, np.array([trial], dtype=np.uint32), np.array([draw], dtype=np.uint32)
-            )[0]
+            got = oracle.philox_uniforms(seed, np.array([trial], dtype=np.uint32), draw)[0]
             assert got == expect
 
     def test_uniforms_in_unit_interval(self):
         t = np.arange(2000, dtype=np.uint32)
-        u = oracle.philox_uniforms(123, t, t)
+        u = np.concatenate([oracle.philox_uniforms(123, t, draw) for draw in range(20)])
         assert (u >= 0.0).all() and (u < 1.0).all()
         assert 0.45 < u.mean() < 0.55
+
+    @pytest.mark.parametrize(
+        "draw", [np.array([3], dtype=np.uint32), np.arange(2, dtype=np.uint32), [3], 3.0, "3", None]
+    )
+    def test_draw_must_be_one_integer(self, draw):
+        # A 1-element array is not a shared draw id: it would broadcast
+        # into the per-trial lanes and give the wrong uniforms.
+        with pytest.raises(ValidationError, match="draw must be one integer"):
+            oracle.philox_uniforms(7, np.arange(4, dtype=np.uint32), draw)
+
+    @pytest.mark.parametrize("draw", [-1, 2**32, 2**64])
+    def test_draw_must_be_a_counter_word(self, draw):
+        with pytest.raises(ValidationError, match=r"in \[0, 2\*\*32\)"):
+            oracle.philox_uniforms(7, np.arange(4, dtype=np.uint32), draw)
+
+    @pytest.mark.parametrize("draw", [np.uint32(2**32 - 1), np.int64(5), np.uint64(0)])
+    def test_numpy_integer_draw(self, draw):
+        trials = np.arange(3, dtype=np.uint32)
+        want = [scalar_uniform(9, t, int(draw)) for t in range(3)]
+        assert oracle.philox_uniforms(9, trials, draw).tolist() == want
 
 
 class TestMonteCarlo:
@@ -328,6 +468,36 @@ class TestMonteCarlo:
             seed=5,
             budget=20,
         )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 5])
+    def test_seed_outside_the_key_is_rejected(self, seed):
+        # Masking would alias: 2**64 would replay seed 0, and -1 seed 2**64 - 1.
+        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, 10, seed)
+
+    def test_seed_reaches_the_kernel_unmasked(self, monkeypatch):
+        seen = []
+        real = oracle.mc_consumed_pairs
+
+        def recording(bit, phase, full, trials, seed):
+            seen.append(seed)
+            return real(bit, phase, full, trials, seed)
+
+        monkeypatch.setattr(oracle, "mc_consumed_pairs", recording)
+        for seed in (0, 2**32, 2**64 - 1):
+            monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, 10, seed)
+        assert seen == [0, 2**32, 2**64 - 1]
+
+    @pytest.mark.parametrize("trials", [0, -1, 2**32 + 1, 2**40])
+    def test_trials_outside_the_counter_word_are_rejected(self, monkeypatch, trials):
+        # A trial id is one 32-bit counter word.  The check comes first, so
+        # no per-trial array is allocated and the kernel never runs.
+        def unreachable(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(oracle, "mc_consumed_pairs", unreachable)
+        with pytest.raises(ValidationError, match=r"trials must lie in \[1, 2\*\*32\]"):
+            monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, trials, 7)
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (0, 4)])
@@ -377,6 +547,7 @@ class TestKernelMatchesReference:
         want = reference_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
         assert np.array_equal(got, want)
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
+        assert np.array_equal(got, event_walk_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
     @pytest.mark.parametrize("mode", list(RestartMode))
@@ -389,6 +560,7 @@ class TestKernelMatchesReference:
         assert np.array_equal(got, np.full(50, (n_b + 1) * (n_p + 1)))
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 50, seed))
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 50, seed))
+        assert np.array_equal(got, event_walk_mc_consumed_pairs(bit, phase, full, 50, seed))
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (4, 5), (0, 4)])
@@ -398,18 +570,21 @@ class TestKernelMatchesReference:
         got = oracle.mc_consumed_pairs(bit, phase, full, 20000, 7)
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 20000, 7))
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 20000, 7))
+        assert np.array_equal(got, event_walk_mc_consumed_pairs(bit, phase, full, 20000, 7))
 
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
     def test_philox_chunk_edges(self, n):
         rng = np.random.default_rng(n)
         for seed in (0, 2**63 + 5):
             trials = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
-            draws = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
-            got = oracle.philox_uniforms(seed, trials, draws)
-            assert got.dtype == np.float64 and got.shape == (n,)
-            assert np.array_equal(got, reference_philox_uniforms(seed, trials, draws))
-            for i in {0, n // 2, n - 1} if n else ():
-                assert got[i] == scalar_uniform(seed, int(trials[i]), int(draws[i]))
+            for draw in (0, 1, 2**32 - 1, int(rng.integers(0, 2**32))):
+                got = oracle.philox_uniforms(seed, trials, draw)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                draws = np.full(n, draw, dtype=np.uint32)
+                assert np.array_equal(got, vector_philox_uniforms(seed, trials, draws))
+                assert np.array_equal(got, reference_philox_uniforms(seed, trials, draws))
+                for i in {0, n // 2, n - 1} if n else ():
+                    assert got[i] == scalar_uniform(seed, int(trials[i]), draw)
 
 
 class TestKernelWork:
@@ -460,6 +635,51 @@ class TestKernelWork:
         counts = [len(draws) for draws in per_trial]
         assert all(draws == list(range(d)) for draws, d in zip(per_trial, counts))
         assert len(calls) == max(counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_b=st.integers(min_value=0, max_value=8),
+        n_p=st.integers(min_value=0, max_value=8),
+        mode=st.sampled_from(list(RestartMode)),
+    )
+    def test_no_draw_costs_more_than_two_pairs(self, n_b, n_p, mode):
+        # The walk skips its cap check while 2 + 2*draw <= HARD_CAP.  That is
+        # exact only if a trial spends at most 2 raw pairs before its first
+        # draw and at most 2 per draw.
+        full = mode is RestartMode.FULL
+        _, on_success, on_failure, cost, start = oracle._event_tables(
+            np.full(n_b, 0.5), np.full(n_p, 0.5), full
+        )
+        assert 0 <= cost.min() and cost.max() <= 2
+        # Before the first draw: the all-success total less the costs of
+        # the states the all-success path enters.
+        finished = len(cost) - 1
+        path, state = 0, start
+        while state != finished:
+            state = on_success[state]
+            path += int(cost[state])
+        (total,) = oracle.mc_consumed_pairs(np.ones(n_b), np.ones(n_p), full, 1, 0)
+        assert total == (n_b + 1) * (n_p + 1)
+        assert 1 <= total - path <= 2
+
+    @pytest.mark.parametrize(
+        "bit,phase,mode",
+        [([0.3], [], RestartMode.FULL), ([0.3], [], RestartMode.LEVEL), ([], [0.3], RestartMode.FULL)],
+        ids=["1-0-full", "1-0-level", "0-1-full"],
+    )
+    def test_cap_is_exact_when_every_draw_costs_two(self, monkeypatch, bit, phase, mode):
+        # Each failure here costs 2 raw pairs, so a trial holds exactly
+        # 2 + 2*draw pairs before each draw: the gate on the cap check has
+        # no slack to hide an off-by-one.
+        full = mode is RestartMode.FULL
+        consumed = oracle.mc_consumed_pairs(bit, phase, full, 200, 7)
+        top = int(consumed.max())
+        assert top > 6
+        monkeypatch.setattr(oracle, "HARD_CAP", top)
+        assert np.array_equal(oracle.mc_consumed_pairs(bit, phase, full, 200, 7), consumed)
+        monkeypatch.setattr(oracle, "HARD_CAP", top - 1)
+        with pytest.raises(RuntimeError, match="Monte-Carlo per-trial raw-pair cap exceeded"):
+            oracle.mc_consumed_pairs(bit, phase, full, 200, 7)
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (0, 4)])
