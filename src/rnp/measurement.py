@@ -55,9 +55,9 @@ def exact_vote_error(m: int, params: ErrorParams) -> float:
             f"p_init + p_meas must be below 1 for a majority vote, got {p_shot!r}"
         )
     n = 2 * m + 1
-    tail = sum(
-        math.comb(n, k) * p_shot**k * (1.0 - p_shot) ** (n - k) for k in range(m + 1, n + 1)
-    )
+    tail = 0.0  # summed left to right: builtin sum() compensates from Python 3.12
+    for k in range(m + 1, n + 1):
+        tail += math.comb(n, k) * p_shot**k * (1.0 - p_shot) ** (n - k)
     eps = tail + n / 2.0 * params.p_local
     return min(max(eps, 0.0), 1.0)
 

@@ -139,7 +139,7 @@ class BellDiagonalState:
     def __post_init__(self) -> None:
         comps = [self.p_phi_plus, self.p_phi_minus, self.p_psi_plus, self.p_psi_minus]
         names = ["p_phi_plus", "p_phi_minus", "p_psi_plus", "p_psi_minus"]
-        cleaned = []
+        cleaned, total = [], 0.0
         for name, c in zip(names, comps):
             c = float(c)
             if not math.isfinite(c):
@@ -147,7 +147,7 @@ class BellDiagonalState:
             if c < -SUM_TOL:
                 raise ValidationError(f"{name} is negative: {c!r}")
             cleaned.append(max(c, 0.0))
-        total = sum(cleaned)
+            total += cleaned[-1]  # left to right: builtin sum() compensates from Python 3.12
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"Bell components must sum to 1, got {total!r}")
         for name, c in zip(names, cleaned):

@@ -15,7 +15,7 @@ The Monte-Carlo walk draws counter-based Philox4x32-10 uniforms keyed by
 (seed, trial, draw), so its results do not depend on the order in which
 trials are processed.  It steps from draw to draw rather than from raw
 pair to raw pair, so each step is one draw index shared by every
-unfinished trial and generates no draw a trial does not use.  Its
+tracked trial, and under an eighth of its draws go to finished trials.  Its
 per-event tables (``_event_tables``) transcribe the pumping process on
 their own rather than reading ``markov.build_chain``'s transitions: that
 way Monte-Carlo checks the chain instead of repeating it.
@@ -24,6 +24,7 @@ way Monte-Carlo checks the chain instead of repeating it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +233,7 @@ _SHIFT11 = np.array([11], dtype=np.uint64)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 #: Elements per Philox pass; the round buffers stay cache-resident.
-_CHUNK = 8192
+_CHUNK = 16384
 
 #: Per-trial safety cap on consumed raw pairs.
 HARD_CAP = 10_000_000
@@ -250,65 +251,82 @@ def _round_keys(seed: int) -> np.ndarray:
     return keys
 
 
-def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
-    """Philox4x32-10 uniforms in [0, 1), one per trial id, all at one draw id.
+def _philox_words(seed: int, trials: np.ndarray, draw: int, out: np.ndarray) -> np.ndarray:
+    """Philox4x32-10 words ``(word1 << 32) | word0`` at counters (draw, trial, 0, 0), into ``out``.
 
-    Counter layout: (draw, trial, 0, 0); key: the 64-bit seed split into
-    two 32-bit words.  The first two output words form the 64-bit value
-    whose top 53 bits make the double.
-
-    Counter words are 32-bit values in ``uint64`` lanes, so products are
-    exact: ``mul`` = (c0, c2) is multiplied by the round multipliers and
-    ``mix`` = (c1, c3) XORed into the high halves, in place on fixed-size
-    chunks.  With ``draw`` shared, trial-free words are ints until round 3.
+    The key is the 64-bit seed's two 32-bit halves.  Counter words are 32-bit
+    values in ``uint64`` lanes, so products are exact; rounds run in place on
+    fixed-size chunks, on both lanes where they can.
     """
-    if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
-        raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
-    trials = np.asarray(trial_ids, dtype=np.uint32).reshape(-1)
     n = trials.size
-    out = np.empty(n, dtype=np.float64)
     keys = _round_keys(seed)
     (k0, k1), (k0_2, k1_2), (k0_3, k1_3) = keys[:3, :, 0].tolist()
     # Round r's key is (k0_r, k1_r).  Round 1 leaves c0 = trial ^ k0, c1 = 0 and
     # scalar c2, c3 (from p0); round 2's c2*M1 (p1) and round 3's c0*M0 (q0) too.
-    p0 = _M0 * int(draw)
+    p0 = _M0 * draw
     p1 = _M1 * ((p0 >> 32) ^ k1)
     q0 = _M0 * ((p1 >> 32) ^ k0_2)
+    key4 = keys[3] ^ np.array([[0], [q0 & _MASK32]], dtype=np.uint64)
     width = min(n, _CHUNK)
     buffers = [np.empty((2, width), dtype=np.uint64) for _ in range(3)]
     for lo in range(0, n, _CHUNK):
         m = min(n - lo, _CHUNK)
         mul, mix, prod = (buf[:, :m] for buf in buffers)
-        # Round 2, per trial: (trial ^ k0) * M0 gives c2 and c3.
-        np.bitwise_xor(trials[lo : lo + m], k0, out=prod[0])
-        np.multiply(prod[0], _MULT[1], out=prod[0])
-        np.right_shift(prod[0], _SHIFT32, out=mul[1])
-        np.bitwise_xor(mul[1], (p0 & _MASK32) ^ k1_2, out=mul[1])
-        np.bitwise_and(prod[0], _LOW32, out=mix[1])
-        # Round 3, per trial: c2 * M1 gives c0 and c1; q0 gives c2 and c3.
-        np.multiply(mul[1], _MULT[0], out=prod[1])
-        np.right_shift(prod[1], _SHIFT32, out=mul[0])
-        np.bitwise_xor(mul[0], (p1 & _MASK32) ^ k0_3, out=mul[0])
-        np.bitwise_and(prod[1], _LOW32, out=mix[0])
-        np.bitwise_xor(mix[1], (q0 >> 32) ^ k1_3, out=mul[1])
-        mix[1] = q0 & _MASK32
+        (c0, c2), (c1, c3), (m1c2, m0c0) = mul, mix, prod
         swapped = mul[::-1]
-        for key in keys[3:9]:
+        # Round 2, per trial: (trial ^ k0) * M0 gives c2 and c3.
+        np.bitwise_xor(trials[lo : lo + m], k0, out=m0c0)
+        np.multiply(m0c0, _MULT[1], out=m0c0)
+        np.right_shift(m0c0, _SHIFT32, out=c2)
+        np.bitwise_xor(c2, (p0 & _MASK32) ^ k1_2, out=c2)
+        np.bitwise_and(m0c0, _LOW32, out=c3)
+        # Round 3, per trial: c2 * M1 gives c0 and c1; q0 gives c2.
+        np.multiply(c2, _MULT[0], out=m1c2)
+        np.right_shift(m1c2, _SHIFT32, out=c0)
+        np.bitwise_xor(c0, (p1 & _MASK32) ^ k0_3, out=c0)
+        np.bitwise_and(m1c2, _LOW32, out=c1)
+        np.bitwise_xor(c3, (q0 >> 32) ^ k1_3, out=c2)
+        for r, key in enumerate((key4, *keys[4:8]), start=4):
             np.multiply(swapped, _MULT, out=prod)
             np.right_shift(prod, _SHIFT32, out=mul)
-            np.bitwise_xor(mul, mix, out=mul)
+            if r == 4:  # round 3's c3, lo(q0), is in key4
+                np.bitwise_xor(c0, c1, out=c0)
+            else:
+                np.bitwise_xor(mul, mix, out=mul)
             np.bitwise_xor(mul, key, out=mul)
-            np.bitwise_and(prod, _LOW32, out=mix)
-        # Round 10, words 0 and 1 only: p1 = c2*M1 gives (p1 << 32) | (p1 >> 32 ^ c1 ^ k0).
-        np.multiply(mul[1], _MULT[0], out=prod[1])
-        np.right_shift(prod[1], _SHIFT32, out=mul[0])
-        np.bitwise_xor(mul[0], mix[0], out=mul[0])
-        np.bitwise_xor(mul[0], keys[9, 0], out=mul[0])
-        np.left_shift(prod[1], _SHIFT32, out=prod[1])
-        np.bitwise_or(prod[1], mul[0], out=prod[1])
-        np.right_shift(prod[1], _SHIFT11, out=prod[1])
-        np.multiply(prod[1], _INV53, out=out[lo : lo + m])
+            if r == 8:  # round 9 never reads round 8's c1
+                np.bitwise_and(m0c0, _LOW32, out=c3)
+            else:
+                np.bitwise_and(prod, _LOW32, out=mix)
+        # Round 9, c1 and c2 only: all that round 10 reads.
+        np.multiply(swapped, _MULT, out=prod)
+        np.right_shift(m0c0, _SHIFT32, out=c2)
+        np.bitwise_xor(c2, c3, out=c2)
+        np.bitwise_xor(c2, keys[8, 1], out=c2)
+        np.bitwise_and(m1c2, _LOW32, out=c1)
+        # Round 10, words 0 and 1: c2*M1 gives (c2*M1 << 32) | (c2*M1 >> 32 ^ c1 ^ k0).
+        word = out[lo : lo + m]
+        np.multiply(c2, _MULT[0], out=m1c2)
+        np.right_shift(m1c2, _SHIFT32, out=c0)
+        np.bitwise_xor(c0, c1, out=c0)
+        np.bitwise_xor(c0, keys[9, 0], out=c0)
+        np.left_shift(m1c2, _SHIFT32, out=word)
+        np.bitwise_or(word, c0, out=word)
     return out
+
+
+def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
+    """Philox4x32-10 uniforms in [0, 1), one per trial id at one draw id: the words' top 53 bits."""
+    if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
+        raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
+    trials = np.asarray(trial_ids, dtype=np.uint32).reshape(-1)
+    words = _philox_words(seed, trials, int(draw), np.empty(trials.size, dtype=np.uint64))
+    return np.right_shift(words, _SHIFT11, out=words) * _INV53
+
+
+def _gates(threshold: np.ndarray) -> np.ndarray:
+    """Gates on the word w: (w >> 11) * 2**-53 >= t iff w > gate, for t in (0, 1]; t = 0 gets 0."""
+    return np.array([max((math.ceil(t * 2.0**53) << 11) - 1, 0) for t in threshold.tolist()], dtype=np.uint64)
 
 
 def _event_tables(
@@ -363,15 +381,18 @@ def mc_consumed_pairs(
     """Raw pairs consumed by each trial of the pumping process.
 
     Each trial walks the draw events of ``_event_tables``: every loop
-    iteration makes one draw for every unfinished trial, moves it to the
+    iteration makes one draw for every tracked trial, moves it to the
     event's success or failure successor (failures restart according to
     ``full_restart``) and adds the raw pairs spent to enter that state to
     the trial's count.  Every trial spends two raw pairs before its first
     draw (schedule (0, 0) draws nothing and spends one).
 
     Draw k of a trial is always the Philox uniform (seed, trial, k), and at
-    iteration k every unfinished trial has made exactly k draws, so one
-    call with the shared draw id k generates just the draws a step uses.
+    iteration k every tracked trial has made exactly k draws, so one call
+    with the shared draw id k makes a step's draws; a draw fails iff its
+    word passes the state's gate.  The finished state (threshold 0) is
+    absorbing and free, so finished trials stay tracked until they are an
+    eighth of them: their draws change nothing, and are under 1/7 of those used.
     """
     threshold, on_success, on_failure, cost, start = _event_tables(
         np.asarray(bit_succ, dtype=np.float64),
@@ -381,30 +402,39 @@ def mc_consumed_pairs(
     finished = len(cost) - 1
     # States are held doubled, so state + failed indexes the successor table.
     successor = 2 * np.stack((on_success, on_failure), axis=1).reshape(-1)
-    threshold, cost = np.repeat(threshold, 2), np.repeat(cost, 2)
+    gate, cost = np.repeat(_gates(threshold), 2), np.repeat(cost, 2)
     consumed = np.full(trials, 2 if start < finished else 1, dtype=np.int64)
-    # Per-trial state, compacted to the still-running trials each iteration.
-    ids = np.arange(trials if start < finished else 0, dtype=np.uint32)
-    state = np.full(ids.size, 2 * start, dtype=np.intp)
-    pairs = consumed[ids]
+    # Per-trial state of the n trials tracked, and per-draw buffers.
+    n = trials if start < finished else 0
+    ids = np.arange(n, dtype=np.uint32)
+    state = np.full(n, 2 * start, dtype=np.intp)
+    pairs = consumed[:n].copy()
+    words, gathered, flags = np.empty(n, np.uint64), np.empty(n, np.uint64), np.empty(n, bool)
     draw = 0
 
-    while ids.size:
+    while n:
         # Entering the finished state costs nothing, so a trial's count
         # before its last draw is already its total.  Counts start at 2 and
         # grow by at most 2 a draw, so none passes the cap before 2 + 2*draw
         # does; each grows at least every second draw, bounding the loop.
         if 2 + 2 * draw > HARD_CAP and pairs.max() > HARD_CAP:
             raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
-        u = philox_uniforms(seed, ids, draw)
+        _philox_words(seed, ids, draw, words)
         draw += 1
-        state = successor.take(state + (u >= threshold.take(state)))
-        pairs += cost.take(state)
-
-        keep = np.flatnonzero(state != 2 * finished)
-        if keep.size < ids.size:
+        np.greater(words, gate.take(state, out=gathered, mode="clip"), out=flags)
+        np.add(state, flags, out=state)
+        successor.take(state, out=state, mode="clip")
+        np.add(pairs, cost.take(state, out=gathered.view(np.int64), mode="clip"), out=pairs)
+        np.not_equal(state, 2 * finished, out=flags)
+        k = np.count_nonzero(flags)
+        if 8 * (n - k) >= n:
             consumed[ids] = pairs
-            ids, state, pairs = ids.take(keep), state.take(keep), pairs.take(keep)
+            for a in (ids, state, pairs):
+                a[:k] = a[flags]
+            n = k
+            ids, state, pairs, words, gathered, flags = (
+                a[:n] for a in (ids, state, pairs, words, gathered, flags)
+            )
     return consumed
 
 

@@ -317,15 +317,20 @@ class TestSolveBudget:
             solve_budget(chain, 1e-6, cap=budget - 1)
 
     @pytest.mark.parametrize("mode", list(RestartMode))
-    def test_power_of_two_cap(self, mode):
+    @pytest.mark.parametrize("n_b,n_p,target", [(4, 5, 1e-6), (2, 2, 1e-9)])
+    def test_power_of_two_cap(self, n_b, n_p, target, mode):
         # A power-of-two cap is the last rung the squaring may climb to.
-        chain = chain_for(4, 5, mode)
-        budget = solve_budget(chain, 1e-6)
+        # Stopping a rung short would return the cap itself: 64 and 128 on
+        # (2,2) full restart, whose budget is 131, with masses 6.2e-5 and
+        # 1.6e-9 still above the target.
+        chain = chain_for(n_b, n_p, mode)
+        budget = solve_budget(chain, target)
         below = 1 << ((budget - 1).bit_length() - 1)
-        with pytest.raises(BudgetCapError):
-            solve_budget(chain, 1e-6, cap=below)
+        for cap in (below >> 1, below):
+            with pytest.raises(BudgetCapError):
+                solve_budget(chain, target, cap=cap)
         for cap in (below << 1, below << 2):
-            assert solve_budget(chain, 1e-6, cap=cap) == budget
+            assert solve_budget(chain, target, cap=cap) == budget
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -1,9 +1,13 @@
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rnp import ErrorParams, ValidationError, exact_vote_error, measurement_error, measurement_time, optimal_m
+from rnp import measurement, model
+from rnp.model import BellDiagonalState
 from rnp.timing import PhysicalTimings
 
 
@@ -100,3 +104,36 @@ class TestOptimalM:
             assert exact_vote_error(m, p) == pytest.approx(
                 measurement_error(m, p), rel=0.15
             )
+
+
+def compensated_sum(iterable, start=0):
+    """A correctly rounded sum, like the compensated builtin sum() of Python 3.12+."""
+    return math.fsum([start, *iterable])
+
+
+class TestSumsAreLeftToRight:
+    # Python 3.12 made the builtin sum() of floats compensated, and the
+    # package allows Python 3.10+.  Its float sums are explicit left-to-right
+    # folds, so a compensated sum() must leave every bit where it was.
+    @pytest.fixture
+    def outputs(self):
+        def compute():
+            sweep_column = params(p_l=1.7782794100389227e-06)  # the default sweep's second p_L
+            return (
+                BellDiagonalState(0.7, 0.1, 0.1, 0.1).as_tuple(),
+                [exact_vote_error(m, params()) for m in range(8)],
+                optimal_m(sweep_column),
+                optimal_m(params()),
+            )
+
+        return compute
+
+    def test_compensated_builtin_sum_moves_no_bit(self, outputs, monkeypatch):
+        plain = outputs()
+        # Left to right, 0.7 + 0.1 + 0.1 + 0.1 is 0.9999999999999999 and each
+        # component moves by an ulp when divided by it: the cases can tell.
+        assert 0.7 + 0.1 + 0.1 + 0.1 != compensated_sum([0.7, 0.1, 0.1, 0.1])
+        assert plain[0] == (0.7000000000000001, 0.10000000000000002, 0.10000000000000002, 0.10000000000000002)
+        monkeypatch.setattr(model, "sum", compensated_sum, raising=False)
+        monkeypatch.setattr(measurement, "sum", compensated_sum, raising=False)
+        assert outputs() == plain

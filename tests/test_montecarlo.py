@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -354,6 +356,133 @@ def event_walk_mc_consumed_pairs(
     return consumed
 
 
+# The package's previous shared-draw Philox, kept unchanged as a reference:
+# it forms the double itself, from all of rounds 8 and 9.  Only its module
+# constants are renamed here.
+_SHARED_M0, _SHARED_M1 = 0xD2511F53, 0xCD9E8D57
+_SHARED_MULT = np.array([[_SHARED_M1], [_SHARED_M0]], dtype=np.uint64)
+_SHARED_CHUNK = 8192
+
+
+def shared_draw_philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
+    """Philox4x32-10 uniforms in [0, 1), one per trial id, all at one draw id.
+
+    Counter layout: (draw, trial, 0, 0); key: the 64-bit seed split into
+    two 32-bit words.  The first two output words form the 64-bit value
+    whose top 53 bits make the double.
+
+    Counter words are 32-bit values in ``uint64`` lanes, so products are
+    exact: ``mul`` = (c0, c2) is multiplied by the round multipliers and
+    ``mix`` = (c1, c3) XORed into the high halves, in place on fixed-size
+    chunks.  With ``draw`` shared, trial-free words are ints until round 3.
+    """
+    if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
+        raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
+    trials = np.asarray(trial_ids, dtype=np.uint32).reshape(-1)
+    n = trials.size
+    out = np.empty(n, dtype=np.float64)
+    keys = _vector_round_keys(seed)
+    (k0, k1), (k0_2, k1_2), (k0_3, k1_3) = keys[:3, :, 0].tolist()
+    # Round r's key is (k0_r, k1_r).  Round 1 leaves c0 = trial ^ k0, c1 = 0 and
+    # scalar c2, c3 (from p0); round 2's c2*M1 (p1) and round 3's c0*M0 (q0) too.
+    p0 = _SHARED_M0 * int(draw)
+    p1 = _SHARED_M1 * ((p0 >> 32) ^ k1)
+    q0 = _SHARED_M0 * ((p1 >> 32) ^ k0_2)
+    width = min(n, _SHARED_CHUNK)
+    buffers = [np.empty((2, width), dtype=np.uint64) for _ in range(3)]
+    for lo in range(0, n, _SHARED_CHUNK):
+        m = min(n - lo, _SHARED_CHUNK)
+        mul, mix, prod = (buf[:, :m] for buf in buffers)
+        # Round 2, per trial: (trial ^ k0) * M0 gives c2 and c3.
+        np.bitwise_xor(trials[lo : lo + m], k0, out=prod[0])
+        np.multiply(prod[0], _SHARED_MULT[1], out=prod[0])
+        np.right_shift(prod[0], _VECTOR_SHIFT32, out=mul[1])
+        np.bitwise_xor(mul[1], (p0 & _MASK32) ^ k1_2, out=mul[1])
+        np.bitwise_and(prod[0], _VECTOR_LOW32, out=mix[1])
+        # Round 3, per trial: c2 * M1 gives c0 and c1; q0 gives c2 and c3.
+        np.multiply(mul[1], _SHARED_MULT[0], out=prod[1])
+        np.right_shift(prod[1], _VECTOR_SHIFT32, out=mul[0])
+        np.bitwise_xor(mul[0], (p1 & _MASK32) ^ k0_3, out=mul[0])
+        np.bitwise_and(prod[1], _VECTOR_LOW32, out=mix[0])
+        np.bitwise_xor(mix[1], (q0 >> 32) ^ k1_3, out=mul[1])
+        mix[1] = q0 & _MASK32
+        swapped = mul[::-1]
+        for key in keys[3:9]:
+            np.multiply(swapped, _SHARED_MULT, out=prod)
+            np.right_shift(prod, _VECTOR_SHIFT32, out=mul)
+            np.bitwise_xor(mul, mix, out=mul)
+            np.bitwise_xor(mul, key, out=mul)
+            np.bitwise_and(prod, _VECTOR_LOW32, out=mix)
+        # Round 10, words 0 and 1 only: p1 = c2*M1 gives (p1 << 32) | (p1 >> 32 ^ c1 ^ k0).
+        np.multiply(mul[1], _SHARED_MULT[0], out=prod[1])
+        np.right_shift(prod[1], _VECTOR_SHIFT32, out=mul[0])
+        np.bitwise_xor(mul[0], mix[0], out=mul[0])
+        np.bitwise_xor(mul[0], keys[9, 0], out=mul[0])
+        np.left_shift(prod[1], _VECTOR_SHIFT32, out=prod[1])
+        np.bitwise_or(prod[1], mul[0], out=prod[1])
+        np.right_shift(prod[1], _VECTOR_SHIFT11, out=prod[1])
+        np.multiply(prod[1], _INV53, out=out[lo : lo + m])
+    return out
+
+
+# The package's previous walk, kept unchanged as a reference (its Philox is
+# the shared-draw one above): it compares uniforms with the thresholds and
+# compacts its arrays at every draw that finishes a trial.
+def eager_compaction_mc_consumed_pairs(
+    bit_succ: np.ndarray,
+    phase_succ: np.ndarray,
+    full_restart: bool,
+    trials: int,
+    seed: int,
+) -> np.ndarray:
+    """Raw pairs consumed by each trial of the pumping process.
+
+    Each trial walks the draw events of ``_event_tables``: every loop
+    iteration makes one draw for every unfinished trial, moves it to the
+    event's success or failure successor (failures restart according to
+    ``full_restart``) and adds the raw pairs spent to enter that state to
+    the trial's count.  Every trial spends two raw pairs before its first
+    draw (schedule (0, 0) draws nothing and spends one).
+
+    Draw k of a trial is always the Philox uniform (seed, trial, k), and at
+    iteration k every unfinished trial has made exactly k draws, so one
+    call with the shared draw id k generates just the draws a step uses.
+    """
+    threshold, on_success, on_failure, cost, start = oracle._event_tables(
+        np.asarray(bit_succ, dtype=np.float64),
+        np.asarray(phase_succ, dtype=np.float64),
+        full_restart,
+    )
+    finished = len(cost) - 1
+    # States are held doubled, so state + failed indexes the successor table.
+    successor = 2 * np.stack((on_success, on_failure), axis=1).reshape(-1)
+    threshold, cost = np.repeat(threshold, 2), np.repeat(cost, 2)
+    consumed = np.full(trials, 2 if start < finished else 1, dtype=np.int64)
+    # Per-trial state, compacted to the still-running trials each iteration.
+    ids = np.arange(trials if start < finished else 0, dtype=np.uint32)
+    state = np.full(ids.size, 2 * start, dtype=np.intp)
+    pairs = consumed[ids]
+    draw = 0
+
+    while ids.size:
+        # Entering the finished state costs nothing, so a trial's count
+        # before its last draw is already its total.  Counts start at 2 and
+        # grow by at most 2 a draw, so none passes the cap before 2 + 2*draw
+        # does; each grows at least every second draw, bounding the loop.
+        if 2 + 2 * draw > REFERENCE_HARD_CAP and pairs.max() > REFERENCE_HARD_CAP:
+            raise RuntimeError("Monte-Carlo per-trial raw-pair cap exceeded")
+        u = shared_draw_philox_uniforms(seed, ids, draw)
+        draw += 1
+        state = successor.take(state + (u >= threshold.take(state)))
+        pairs += cost.take(state)
+
+        keep = np.flatnonzero(state != 2 * finished)
+        if keep.size < ids.size:
+            consumed[ids] = pairs
+            ids, state, pairs = ids.take(keep), state.take(keep), pairs.take(keep)
+    return consumed
+
+
 def scalar_uniform(seed, trial, draw):
     x = philox_reference((draw, trial, 0, 0), (seed & 0xFFFFFFFF, seed >> 32))
     return (((x[1] << 32) | x[0]) >> 11) * 2.0**-53
@@ -548,6 +677,7 @@ class TestKernelMatchesReference:
         assert np.array_equal(got, want)
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
         assert np.array_equal(got, event_walk_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
+        assert np.array_equal(got, eager_compaction_mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed))
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 3, 2**64 - 1])
     @pytest.mark.parametrize("mode", list(RestartMode))
@@ -561,6 +691,7 @@ class TestKernelMatchesReference:
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 50, seed))
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 50, seed))
         assert np.array_equal(got, event_walk_mc_consumed_pairs(bit, phase, full, 50, seed))
+        assert np.array_equal(got, eager_compaction_mc_consumed_pairs(bit, phase, full, 50, seed))
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (4, 5), (0, 4)])
@@ -571,8 +702,11 @@ class TestKernelMatchesReference:
         assert np.array_equal(got, reference_mc_consumed_pairs(bit, phase, full, 20000, 7))
         assert np.array_equal(got, raw_step_mc_consumed_pairs(bit, phase, full, 20000, 7))
         assert np.array_equal(got, event_walk_mc_consumed_pairs(bit, phase, full, 20000, 7))
+        assert np.array_equal(got, eager_compaction_mc_consumed_pairs(bit, phase, full, 20000, 7))
 
-    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    @pytest.mark.parametrize(
+        "n", [0, 1, _SHARED_CHUNK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+    )
     def test_philox_chunk_edges(self, n):
         rng = np.random.default_rng(n)
         for seed in (0, 2**63 + 5):
@@ -580,27 +714,104 @@ class TestKernelMatchesReference:
             for draw in (0, 1, 2**32 - 1, int(rng.integers(0, 2**32))):
                 got = oracle.philox_uniforms(seed, trials, draw)
                 assert got.dtype == np.float64 and got.shape == (n,)
+                words = oracle._philox_words(seed, trials, draw, np.empty(n, dtype=np.uint64))
+                assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53)
+                assert np.array_equal(got, shared_draw_philox_uniforms(seed, trials, draw))
                 draws = np.full(n, draw, dtype=np.uint32)
                 assert np.array_equal(got, vector_philox_uniforms(seed, trials, draws))
                 assert np.array_equal(got, reference_philox_uniforms(seed, trials, draws))
                 for i in {0, n // 2, n - 1} if n else ():
                     assert got[i] == scalar_uniform(seed, int(trials[i]), draw)
+                    x = philox_reference((draw, int(trials[i]), 0, 0), (seed & _MASK32, seed >> 32))
+                    assert words[i] == (x[1] << 32) | x[0]
+
+
+#: Thresholds on the 53-bit grid of the uniforms, k * 2**-53 for k >= 1.
+ON_GRID = st.integers(min_value=1, max_value=2**53).map(lambda k: k * 2.0**-53)
+#: Thresholds in (0, 1] at the gate's edges: on the grid and its neighbours
+#: either side, 1.0, subnormal values, and anything between.
+THRESHOLD = st.one_of(
+    ON_GRID,
+    ON_GRID.map(lambda t: float(np.nextafter(t, 0.0))),
+    ON_GRID.map(lambda t: float(np.nextafter(t, 2.0))).filter(lambda t: t <= 1.0),
+    st.just(1.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+class TestGate:
+    @settings(max_examples=300, deadline=None)
+    @given(t=THRESHOLD, word=st.integers(min_value=0, max_value=2**64 - 1), step=st.integers(-2, 2))
+    def test_word_gate_is_the_uniform_comparison(self, t, word, step):
+        (gate,) = oracle._gates(np.array([t])).tolist()
+        for w in (word, gate + step):
+            if 0 <= w < 2**64:
+                assert ((w >> 11) * 2.0**-53 >= t) == (w > gate)
+
+    def test_one_never_fails_and_zero_nearly_always(self):
+        # No word exceeds 2**64 - 1.  t = 0 would need a gate of -1, so its
+        # gate 0 misses only w = 0.
+        assert oracle._gates(np.array([1.0, 0.0])).tolist() == [2**64 - 1, 0]
+
+    @pytest.mark.parametrize("mode", list(RestartMode))
+    @pytest.mark.parametrize("n_b,n_p", [(0, 1), (1, 0), (2, 2), (0, 4), (4, 5)])
+    def test_only_the_finished_state_has_threshold_zero(self, n_b, n_p, mode):
+        # So the gate of t = 0 decides nothing: both successors of the
+        # finished state are the finished state, and entering it costs 0.
+        threshold, on_success, on_failure, cost, start = oracle._event_tables(
+            np.full(n_b, 0.5), np.full(n_p, 0.5), mode is RestartMode.FULL
+        )
+        finished = len(cost) - 1
+        reached, todo = {start}, [start]
+        while todo:
+            state = todo.pop()
+            for nxt in (int(on_success[state]), int(on_failure[state])):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        assert [state for state in sorted(reached) if threshold[state] == 0.0] == [finished]
+        assert cost[finished] == 0
+        assert on_success[finished] == on_failure[finished] == finished
+
+
+def draws_used(bit_succ, phase_succ, full_restart, trials, seed):
+    """Uniforms per call of the eager-compaction reference, which draws only for unfinished trials."""
+    sizes = []
+    real = shared_draw_philox_uniforms
+
+    def counting(seed_, trial_ids, draw):
+        sizes.append(len(trial_ids))
+        return real(seed_, trial_ids, draw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(globals(), "shared_draw_philox_uniforms", counting)
+        eager_compaction_mc_consumed_pairs(bit_succ, phase_succ, full_restart, trials, seed)
+    return sizes
+
+
+def assert_few_wasted_words(calls, used):
+    # Finished trials stay tracked only while they are under an eighth of
+    # those tracked, so each call makes fewer than 8/7 of the draws it uses.
+    assert len(calls) == len(used)
+    assert all(u <= c and 8 * (c - u) < c for c, u in zip(calls, used))
+    assert 7 * sum(calls) <= 8 * sum(used)
 
 
 class TestKernelWork:
-    def test_one_philox_call_and_at_most_one_uniform_per_raw_pair(self, monkeypatch):
+    def test_one_philox_call_per_draw_and_few_wasted_words(self, monkeypatch):
         calls = []
-        real = oracle.philox_uniforms
+        real = oracle._philox_words
 
-        def counting(seed, trial_ids, draw_ids):
+        def counting(seed, trial_ids, draw, out):
             calls.append(len(trial_ids))
-            return real(seed, trial_ids, draw_ids)
+            return real(seed, trial_ids, draw, out)
 
-        monkeypatch.setattr(oracle, "philox_uniforms", counting)
+        monkeypatch.setattr(oracle, "_philox_words", counting)
         bit, phase = success_probs(trace_for(4, 5))
         consumed = oracle.mc_consumed_pairs(bit, phase, True, 20000, 7)
-        assert len(calls) <= consumed.max()
-        assert sum(calls) <= consumed.sum()
+        assert calls and len(calls) <= consumed.max()
+        assert_few_wasted_words(calls, draws_used(bit, phase, True, 20000, 7))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -614,27 +825,46 @@ class TestKernelWork:
         self, bit_succ, phase_succ, mode, trials, seed
     ):
         assume(expected_pairs(chain_for_probs(bit_succ, phase_succ, mode)) <= 40.0)
+        full = mode is RestartMode.FULL
         calls = []
-        real = oracle.philox_uniforms
+        real = oracle._philox_words
 
-        def recording(seed_, trial_ids, draw_ids):
-            assert seed_ == seed
-            calls.append((np.array(trial_ids, dtype=np.int64), np.asarray(draw_ids)))
-            return real(seed_, trial_ids, draw_ids)
+        def recording(seed_, trial_ids, draw, out):
+            assert seed_ == seed and isinstance(draw, int)
+            calls.append((np.array(trial_ids, dtype=np.int64), draw))
+            return real(seed_, trial_ids, draw, out)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "philox_uniforms", recording)
-            oracle.mc_consumed_pairs(bit_succ, phase_succ, mode is RestartMode.FULL, trials, seed)
+            mp.setattr(oracle, "_philox_words", recording)
+            oracle.mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed)
+        # Only schedule (0, 0) has no draw to make.
+        assert bool(calls) == bool(bit_succ or phase_succ)
         per_trial = [[] for _ in range(trials)]
-        for k, (trial_ids, draw_id) in enumerate(calls):
-            # Call k draws uniform k of each trial it names, once each.
-            assert draw_id.ndim == 0 and int(draw_id) == k
+        for k, (trial_ids, draw) in enumerate(calls):
+            # Call k draws word k of each trial it names, once each.
+            assert draw == k
             assert len(set(trial_ids.tolist())) == trial_ids.size
             for t in trial_ids:
                 per_trial[t].append(k)
         counts = [len(draws) for draws in per_trial]
         assert all(draws == list(range(d)) for draws, d in zip(per_trial, counts))
         assert len(calls) == max(counts)
+        used = draws_used(bit_succ, phase_succ, full, trials, seed)
+        assert_few_wasted_words([ids.size for ids, _ in calls], used)
+
+    def test_walk_memory_per_trial(self):
+        # Buffers are reused and compaction is lazy: the walk's tracemalloc
+        # peak stays within 60 bytes a trial (53.3 here), the peak of the
+        # eager-compaction walk (60.04).
+        bit, phase = success_probs(trace_for(4, 5))
+        oracle.mc_consumed_pairs(bit, phase, True, 100, 7)  # NumPy's first-call allocations
+        tracemalloc.start()
+        try:
+            oracle.mc_consumed_pairs(bit, phase, True, 100_000, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * 100_000
 
     @settings(max_examples=40, deadline=None)
     @given(
