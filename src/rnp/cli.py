@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import timing
 from .markov import build_chain, compose_plan, expected_pairs, failure_probability, plan
 from .measurement import optimal_m
 from .model import (
@@ -199,7 +201,7 @@ def _cmd_plan(args) -> int:
         check = memory_check(result.t_C, timings.t_mem)
         if check.warning:
             print(
-                f"warning: t_C/t_mem = {check.ratio:.3g} exceeds 0.01; "
+                f"warning: t_C/t_mem = {check.ratio:.3g} exceeds {timing.DEFAULT_MEMORY_RATIO!r}; "
                 "the clock cycle is not far below the storage memory time",
                 file=sys.stderr,
             )
@@ -212,33 +214,31 @@ def _cmd_sweep(args) -> int:
     f_grid = np.linspace(args.f_min, args.f_max, args.f_points)
     timings = PhysicalTimings(args.p_m, args.eta, args.tau, args.cavity_c, args.t_local)
 
+    # Points p_L-major up to the first invalid one, one schedule search, then
+    # rows composed in row order.  No valid point makes the search raise, so
+    # the first row compose_plan rejects fails first, and the invalid point last.
+    points, invalid = [], None
+    for p_l, f in itertools.product(p_l_grid, f_grid):
+        try:
+            points.append(
+                ErrorParams(p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise)
+            )
+        except ValidationError as exc:
+            invalid = exc
+            break
+    # The readout plan depends on p_init, p_meas and p_local, not on F.
+    meas = {p_l: optimal_m(p, timings=timings) for p_l, p in {p.p_local: p for p in points}.items()}
+    flips = [meas[p.p_local].error_prob for p in points]
     rows = []
-    for p_l in p_l_grid:
-        # One schedule search per p_L column, over its rows up to the first
-        # invalid one; rows are composed and fail in row order.  No column of
-        # valid rows makes the search raise, so the first row to fail is the
-        # first that compose_plan rejects.
-        column, invalid = [], None
-        for f in f_grid:
-            try:
-                column.append(
-                    ErrorParams(p_local=float(p_l), p_init=args.p_i, p_meas=args.p_m, fidelity=float(f), noise=args.noise)
-                )
-            except ValidationError as exc:
-                invalid = exc
-                break
-        if column:
-            # The readout plan depends on p_init, p_meas and p_local, not on F.
-            meas = optimal_m(column[0], timings=timings)
-            for params, trace in zip(column, search_schedule(column, meas.error_prob, args.bound)):
-                r = compose_plan(params, timings, meas, trace, args.restart_mode)
-                rows.append(
-                    f"{params.p_local!r},{params.fidelity!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
-                    f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
-                    f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
-                )
-        if invalid is not None:
-            raise invalid
+    for params, trace in zip(points, search_schedule(points, flips, args.bound)):
+        r = compose_plan(params, timings, meas[params.p_local], trace, args.restart_mode)
+        rows.append(
+            f"{params.p_local!r},{params.fidelity!r},{args.noise.value},{r.schedule.n_b},{r.schedule.n_p},"
+            f"{r.delta_min!r},{r.eps_fail!r},{r.eps_E!r},{r.n_tot_budget},"
+            f"{r.expected_pairs!r},{r.t_C!r},{r.gamma!r}"
+        )
+    if invalid is not None:
+        raise invalid
 
     header = "p_L,F,noise,n_b,n_p,delta_min,eps_fail,eps_E,n_tot_budget,expected_pairs,t_C_s,gamma"
     text = "\n".join([header, *rows]) + "\n"

@@ -267,7 +267,7 @@ def plan(
 ) -> PlanResult:
     """Compose the full plan for one parameter point.
 
-    Picks the infidelity-optimal schedule (a search column of one) and hands
+    Picks the infidelity-optimal schedule (a search of one row) and hands
     its trace to ``compose_plan``.  When ``meas`` is omitted the repetition
     count is optimized from ``params`` and ``timings``.
     """

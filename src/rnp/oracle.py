@@ -319,8 +319,12 @@ def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
     """Philox4x32-10 uniforms in [0, 1), one per trial id at one draw id: the words' top 53 bits."""
     if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
         raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
-    trials = np.asarray(trial_ids, dtype=np.uint32).reshape(-1)
-    words = _philox_words(seed, trials, int(draw), np.empty(trials.size, dtype=np.uint64))
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed must be one integer in [0, 2**64), got {seed!r}")
+    trials = np.asarray(trial_ids).reshape(-1)
+    if trials.size and not (trials.dtype.kind in "iu" and 0 <= trials.min() and trials.max() <= _MASK32):
+        raise ValidationError("trial ids must be integers in [0, 2**32)")
+    words = _philox_words(seed, trials.astype(np.uint32, copy=False), int(draw), np.empty(trials.size, dtype=np.uint64))
     return np.right_shift(words, _SHIFT11, out=words) * _INV53
 
 

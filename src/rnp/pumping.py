@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .model import (
     PumpSchedule,
     StepKind,
     ValidationError,
+    _check_prob,
 )
 
 __all__ = [
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 #: Raw pairs a schedule search steps at once.  Its arrays take ~32 KB per
-#: raw pair at bound 15, so a longer column is searched slice by slice.
+#: raw pair at bound 15, so a longer run of rows is searched slice by slice.
 SEARCH_SLICE = 64
 
 
@@ -96,8 +98,6 @@ def _step_rows(
     """
     if not isinstance(kind, StepKind):
         raise ValidationError(f"kind must be a StepKind, got {kind!r}")
-    if not (0.0 <= p_local <= 1.0) or not (0.0 <= meas_flip <= 1.0):
-        raise ValidationError("p_local and meas_flip must lie in [0, 1]")
 
     n = len(keepers)
     dist = (keepers[:, :, None] * fresh[:, None, :]).reshape(n, 16)  # J = 4*f1 + f2
@@ -206,9 +206,8 @@ def pump_step(
     measurements (one per register); ``p_local`` the depolarizing weight of
     each register's CNOT.
     """
-    success, keeper = _step_rows(
-        np.array([target.as_tuple()]), np.array([fresh.as_tuple()]), kind, p_local, meas_flip
-    )
+    rates = _check_prob("p_local", p_local), _check_prob("meas_flip", meas_flip)
+    success, keeper = _step_rows(np.array([target.as_tuple()]), np.array([fresh.as_tuple()]), kind, *rates)
     return _trace(target, [(kind, success[0], keeper[0])]).steps[0]
 
 
@@ -225,54 +224,62 @@ def run_two_level(
     It is the search's engine on one raw pair, read at its last bit level.
     """
     base = raw_pair(params)
-    bit_steps, phase_steps, _ = _two_level_rows(
-        np.array([base.as_tuple()]), schedule.n_b, schedule.n_p, params.p_local, meas_flip
-    )
+    rates = params.p_local, _check_prob("meas_flip", meas_flip)
+    bit_steps, phase_steps, _ = _two_level_rows(np.array([base.as_tuple()]), schedule.n_b, schedule.n_p, *rates)
     path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps]
     path += [(StepKind.PHASE, s[-1], k[-1]) for s, k in phase_steps]
     return _trace(base, path)
 
 
-def search_schedule(column: Sequence[ErrorParams], meas_flip: float, bound: int = 15) -> list[PumpTrace]:
+def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[float], bound: int = 15) -> list[PumpTrace]:
     """Trace of the schedule (n_b, n_p <= bound) of least pumped infidelity,
-    one per row of ``column``.
+    one per row of ``rows``.
 
-    The rows must share ``p_local`` and ``noise``; they differ in the raw
-    fidelity (a sweep's F values at one p_L).  Ties break toward fewer total
+    The rows must share ``noise``; ``meas_flip`` is one readout error for
+    every row or a sequence of one per row.  Ties break toward fewer total
     steps, then fewer phase steps.  Dephased raw pairs carry no bit errors,
     so their search is restricted to the one-level (n_b = 0) row.
 
     Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
     bit-purified pair of n_b is that of n_b - 1 plus one bit step, so one
     ``_two_level_rows`` call of ``bound`` steps per level steps every
-    schedule of every row of a slice of ``SEARCH_SLICE`` rows.
+    schedule of up to ``SEARCH_SLICE`` adjacent rows that share ``p_local``
+    and ``meas_flip`` (a sweep's F values at one p_L).
     """
     if not isinstance(bound, int) or bound < 0:
         raise ValidationError(f"bound must be a nonnegative integer, got {bound!r}")
-    column = list(column)
-    if any((p.p_local, p.noise) != (column[0].p_local, column[0].noise) for p in column):
-        raise ValidationError("a search column must share p_local and noise")
-    n_b_max = 0 if column and column[0].noise is NoiseKind.DEPHASING else bound
+    rows = list(rows)
+    flips = np.asarray(meas_flip, dtype=np.float64)
+    if flips.shape not in ((), (len(rows),)):
+        raise ValidationError(f"meas_flip needs one value or {len(rows)}, one per row; got shape {flips.shape}")
+    for flip in flips.flat:
+        _check_prob("meas_flip", flip)
+    if any(p.noise is not rows[0].noise for p in rows):
+        raise ValidationError("search rows must share the noise model")
+    n_b_max = 0 if rows and rows[0].noise is NoiseKind.DEPHASING else bound
     traces: list[PumpTrace] = []
-    for lo in range(0, len(column), SEARCH_SLICE):
-        bases = [raw_pair(p) for p in column[lo : lo + SEARCH_SLICE]]
-        n = len(bases)
-        bit_steps, phase_steps, keepers = _two_level_rows(
-            np.array([b.as_tuple() for b in bases]), n_b_max, bound, column[0].p_local, meas_flip
-        )
+    flips = np.broadcast_to(flips, len(rows)).tolist()
+    for rates, run in groupby(zip(rows, flips), key=lambda row: (row[0].p_local, row[1])):
+        run = [p for p, _ in run]
+        for lo in range(0, len(run), SEARCH_SLICE):
+            bases = [raw_pair(p) for p in run[lo : lo + SEARCH_SLICE]]
+            n = len(bases)
+            bit_steps, phase_steps, keepers = _two_level_rows(
+                np.array([b.as_tuple() for b in bases]), n_b_max, bound, *rates
+            )
 
-        # Least infidelity; ties go to fewer total steps, then fewer phase steps.
-        pops = np.array(keepers)  # [n_p, n_b*n + i]: schedule (n_b, n_p) of row i
-        errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, n_b_max + 1, n)
-        p_steps, b_steps = np.indices(errors.shape[:2])
-        rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
-        rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
-        winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
+            # Least infidelity; ties go to fewer total steps, then fewer phase steps.
+            pops = np.array(keepers)  # [n_p, n_b*n + i]: schedule (n_b, n_p) of row i
+            errors = ((pops[..., 1] + pops[..., 2]) + pops[..., 3]).reshape(bound + 1, n_b_max + 1, n)
+            p_steps, b_steps = np.indices(errors.shape[:2])
+            rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
+            rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+            winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
 
-        for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-            path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
-            path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
-            traces.append(_trace(base, path))
+            for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
+                path = [(StepKind.BIT, s[i], k[i]) for s, k in bit_steps[:n_b]]
+                path += [(StepKind.PHASE, s[n_b * n + i], k[n_b * n + i]) for s, k in phase_steps[:n_p]]
+                traces.append(_trace(base, path))
     return traces
 
 
@@ -294,6 +301,7 @@ def run_standard(
     """
     if not isinstance(total_steps, int) or not 0 <= total_steps <= MAX_STANDARD_STEPS:
         raise ValidationError(f"total_steps must be an integer in [0, {MAX_STANDARD_STEPS}], got {total_steps!r}")
+    meas_flip = _check_prob("meas_flip", meas_flip)
     base = raw_pair(params)
     fresh = keeper = np.array([base.as_tuple()])
     path = []
@@ -321,7 +329,7 @@ def closed_form_infidelity(
     n_b, n_p = schedule.n_b, schedule.n_p
     one_minus_f = 1.0 - params.fidelity
     gate_term = (3.0 + 2.0 * n_p) / 4.0 * params.p_local
-    meas_term = (4.0 + 2.0 * (n_b + n_p)) / 3.0 * one_minus_f * meas_flip
+    meas_term = (4.0 + 2.0 * (n_b + n_p)) / 3.0 * one_minus_f * _check_prob("meas_flip", meas_flip)
     bit_residual = (n_p + 1) * (2.0 * one_minus_f / 3.0) ** (n_b + 1)
     phase_residual = ((n_b + 1) * one_minus_f / 3.0) ** (n_p + 1)
     return gate_term + meas_term + bit_residual + phase_residual

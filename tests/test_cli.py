@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnp import ErrorParams, NoiseKind, cli, plan, pumping
+from rnp import ErrorParams, NoiseKind, cli, plan, pumping, timing
+from rnp.measurement import optimal_m
 from rnp.timing import PhysicalTimings
 
 SMALL_SWEEP = [
@@ -55,6 +56,9 @@ FROZEN_PLANS = {
         '"gamma": 2.874962040953652e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
 }
+
+#: The CLI's default timing flags.
+TIMINGS = PhysicalTimings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
 
 #: md5 of the default `rnp sweep --restart-mode MODE` CSV.
 FROZEN_SWEEP_MD5 = {
@@ -354,6 +358,18 @@ class TestPlan:
             "the clock cycle is not far below the storage memory time\n"
         )
 
+    @pytest.mark.parametrize("ratio,quoted", [(0.1, "0.1"), (2.5e-3, "0.0025"), (0.5, None)])
+    def test_memory_warning_quotes_its_threshold(self, capsys, monkeypatch, ratio, quoted):
+        # The warning names the ratio memory_check tests, not a copy of it.
+        monkeypatch.setattr(timing, "DEFAULT_MEMORY_RATIO", ratio)
+        code, out, err = run_cli(capsys, ["plan", "--preset", "ion-depolarizing", "--t-mem", "1e-3"])
+        assert (code, out) == (0, FROZEN_PLANS["ion-depolarizing", "full"])
+        assert err == (
+            ""
+            if quoted is None
+            else f"warning: t_C/t_mem = 0.243 exceeds {quoted}; the clock cycle is not far below the storage memory time\n"
+        )
+
     def test_plan_reproducible(self, capsys):
         code1, out1, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
         code2, out2, _ = run_cli(capsys, ["plan", "--preset", "ion-depolarizing"])
@@ -462,6 +478,52 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 1 + p_l_points * int(f_points)
         assert len(calls) == p_l_points * 2 * 6
+
+    @pytest.mark.parametrize("mode", ["full", "level"])
+    def test_one_search_call_per_sweep(self, capsys, monkeypatch, mode):
+        # The whole default grid is one search_schedule call, rows p_L-major,
+        # each with its own p_L's readout error.
+        calls = []
+        real = cli.search_schedule
+
+        def recording(rows, meas_flip, bound):
+            calls.append((list(rows), list(meas_flip), bound))
+            return real(rows, meas_flip, bound)
+
+        monkeypatch.setattr(cli, "search_schedule", recording)
+        code, out, _ = run_cli(capsys, ["sweep", "--restart-mode", mode])
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == FROZEN_SWEEP_MD5[mode]
+        ((rows, flips, bound),) = calls
+        assert bound == 15
+        assert [(p.p_local, p.fidelity) for p in rows] == [
+            tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]
+        ]
+        assert flips == [optimal_m(p, timings=TIMINGS).error_prob for p in rows]
+
+    def test_repeated_p_l_shares_kernel_calls(self, capsys, monkeypatch):
+        # Two equal p_L points are one run of rows: 2 * bound kernel calls
+        # for all four rows, each row still the plan of its point.
+        calls = []
+        real = pumping._step_rows
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(pumping, "_step_rows", counting)
+        argv = ["sweep", "--p-l-min", "1e-4", "--p-l-max", "1e-4", "--p-l-points", "2", "--f-points", "2"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4 and rows[:2] == rows[2:]
+        assert calls == [4] * 15 + [64] * 15
+        for row, f in zip(rows, (0.9, 0.99)):
+            r = plan(ErrorParams(p_local=1e-4, p_init=0.05, p_meas=0.05, fidelity=f), TIMINGS)
+            assert row.split(",")[3:] == [
+                str(r.schedule.n_b), str(r.schedule.n_p), repr(r.delta_min), repr(r.eps_fail), repr(r.eps_E),
+                str(r.n_tot_budget), repr(r.expected_pairs), repr(r.t_C), repr(r.gamma),
+            ]
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -528,11 +528,70 @@ class TestOptimizeSchedule:
         assert search_schedule([], 1.2e-5) == []
         assert batches == []
 
-    def test_column_must_share_p_local_and_noise(self):
-        with pytest.raises(ValidationError, match="share p_local and noise"):
-            search_schedule(column([0.9]) + column([0.95], p_l=1e-5), 1.2e-5)
-        with pytest.raises(ValidationError, match="share p_local and noise"):
+    def test_rows_must_share_noise(self):
+        # Rows of several p_local are one search; rows of two noise kinds are not.
+        rows = column([0.9]) + column([0.95], p_l=1e-5)
+        assert search_schedule(rows, 1.2e-5) == [per_row_search(p, 1.2e-5, 15) for p in rows]
+        with pytest.raises(ValidationError, match="search rows must share the noise model"):
             search_schedule(column([0.9]) + column([0.95], noise=NoiseKind.DEPHASING), 1.2e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+                st.sampled_from([0.0, 1e-6, 1e-4, 0.05]),
+                st.sampled_from([0.0, 1.2e-5, 1e-2]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=0, max_value=8),
+    )
+    def test_mixed_rows_match_per_row_search(self, rows, noise, bound):
+        # Few distinct p_local and meas_flip values, so adjacent rows often
+        # share a kernel call and often do not.
+        points = [column([f], p_l, noise)[0] for f, p_l, _ in rows]
+        flips = [flip for _, _, flip in rows]
+        traces = search_schedule(points, flips, bound)
+        assert len(traces) == len(points)
+        for p, flip, trace in zip(points, flips, traces, strict=True):
+            assert trace == per_row_search(p, flip, bound)
+            assert trace == prefix_sharing_search(p, flip, bound)
+        mixed = points + column([0.9], noise=next(k for k in NoiseKind if k is not noise))
+        with pytest.raises(ValidationError, match="search rows must share the noise model"):
+            search_schedule(mixed, flips + [1.2e-5], bound)
+
+    def test_kernel_calls_follow_runs_of_shared_rates(self, monkeypatch):
+        # Adjacent rows that share p_local and meas_flip share each kernel
+        # call; every change of either starts a new run of 30 calls.
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        rows = column([0.9, 0.95]) + column([0.9], p_l=1e-4) + column([0.92, 0.93, 0.94])
+        search_schedule(rows, [1e-5, 1e-5, 1e-5, 1e-5, 2e-5, 2e-5], bound=15)
+        assert batches == [2] * 15 + [32] * 15 + [1] * 15 + [16] * 15 + [1] * 15 + [16] * 15 + [2] * 15 + [32] * 15
+
+    @pytest.mark.parametrize("meas_flip", [-1e-9, 1.5, 7.0, float("nan"), float("inf")])
+    def test_meas_flip_out_of_range(self, meas_flip):
+        # Checked before any step runs: at bound 0 no kernel call is made.
+        for rows in ([], column([0.9])):
+            for bound in (0, 15):
+                with pytest.raises(ValidationError, match="meas_flip"):
+                    search_schedule(rows, meas_flip, bound)
+        with pytest.raises(ValidationError, match="meas_flip"):
+            search_schedule(column([0.9, 0.95, 0.99]), [1e-5, meas_flip, 1e-5], 0)
+
+    @pytest.mark.parametrize("meas_flip", [[], [1e-5], [1e-5] * 3, [[1e-5, 1e-5]], np.full((2, 1), 1e-5)])
+    def test_meas_flip_needs_one_value_per_row(self, meas_flip):
+        with pytest.raises(ValidationError, match="meas_flip needs one value or 2, one per row"):
+            search_schedule(column([0.9, 0.95]), meas_flip)
+
+    def test_per_row_meas_flip_equals_one_value(self):
+        rows = column([0.9, 0.95])
+        assert search_schedule(rows, [1.2e-5, 1.2e-5]) == search_schedule(rows, 1.2e-5)
+        assert search_schedule(rows, np.array([1.2e-5, 1.2e-5])) == search_schedule(rows, 1.2e-5)
+        assert search_schedule([], []) == []
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -564,8 +623,8 @@ class TestOptimizeSchedule:
         noise=st.sampled_from(list(NoiseKind)),
     )
     def test_search_never_raises_on_a_valid_column(self, fs, p_l, meas_flip, noise):
-        # The sweep searches a whole p_L column before it composes any row;
-        # its rows fail in row order only because this search cannot fail.
+        # The sweep searches all its points before it composes any row; its
+        # rows fail in row order only because this search cannot fail.
         rows = column(fs, p_l, noise)
         assert len(search_schedule(rows, meas_flip)) == len(rows)
 
@@ -576,10 +635,10 @@ class TestOptimizeSchedule:
         assert traces == [per_row_search(p, 1.2e-5, 15) for p in rows]
 
     def test_memory_is_bounded_by_the_slice(self):
-        # The arrays of a search take ~32 KB per raw pair, so a column is
-        # searched slice by slice.  Past its returned traces (a few KB per
-        # row, which any caller of a long column keeps), a 1,000-row search
-        # peaks as high as a one-slice search does.
+        # The arrays of a search take ~32 KB per raw pair, so a long run of
+        # rows is searched slice by slice.  Past its returned traces (a few
+        # KB per row, which any caller of many rows keeps), a 1,000-row
+        # search peaks as high as a one-slice search does.
         def peak_and_kept(n):
             rows = column(np.linspace(0.9, 0.99, n))
             tracemalloc.start()

@@ -550,6 +550,28 @@ class TestPhilox:
         with pytest.raises(ValidationError, match=r"in \[0, 2\*\*32\)"):
             oracle.philox_uniforms(7, np.arange(4, dtype=np.uint32), draw)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 5, np.int64(-1), 5.0])
+    def test_seed_must_be_a_key(self, seed):
+        # Masking would replay another stream: -1 that of 2**64 - 1, 2**64 + 5 that of 5.
+        with pytest.raises(ValidationError, match=r"seed must be one integer in \[0, 2\*\*64\)"):
+            oracle.philox_uniforms(seed, np.arange(4, dtype=np.uint32), 0)
+
+    @pytest.mark.parametrize(
+        "trial_ids", [np.array([2**32 + 3]), np.array([0, -1]), [2**32], np.array([2**63], dtype=np.uint64), [3.0]]
+    )
+    def test_trial_ids_must_be_counter_words(self, trial_ids):
+        # A uint32 cast would wrap: trial 2**32 + 3 would read trial 3.
+        with pytest.raises(ValidationError, match=r"trial ids must be integers in \[0, 2\*\*32\)"):
+            oracle.philox_uniforms(7, trial_ids, 0)
+
+    def test_keys_and_ids_at_their_edges(self):
+        ids = [0, 3, 2**32 - 1]
+        want = oracle.philox_uniforms(2**64 - 1, np.array(ids, dtype=np.uint32), 9)
+        assert want.tolist() == [scalar_uniform(2**64 - 1, t, 9) for t in ids]
+        for same in (ids, np.array(ids, dtype=np.int64), np.array(ids, dtype=np.uint64)):
+            assert np.array_equal(oracle.philox_uniforms(np.uint64(2**64 - 1), same, 9), want)
+        assert oracle.philox_uniforms(0, [], 0).shape == (0,)
+
     @pytest.mark.parametrize("draw", [np.uint32(2**32 - 1), np.int64(5), np.uint64(0)])
     def test_numpy_integer_draw(self, draw):
         trials = np.arange(3, dtype=np.uint32)

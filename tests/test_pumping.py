@@ -233,6 +233,36 @@ class TestExactReference:
         assert relative_error(trace.infidelity, want) <= EXACT_TOL
 
 
+class TestRatesAreChecked:
+    # Each public entry checks its rates itself, also where no step runs;
+    # the step kernel trusts them.
+    @pytest.mark.parametrize("meas_flip", [-1.0, -1e-300, 1.0 + 2**-52, 5.0, float("nan"), float("inf")])
+    def test_meas_flip_out_of_range(self, meas_flip):
+        for call in (
+            lambda: run_two_level(PumpSchedule(0, 0), params(), meas_flip),
+            lambda: run_two_level(PumpSchedule(2, 3), params(), meas_flip),
+            lambda: run_standard(0, params(), meas_flip),
+            lambda: run_standard(4, params(), meas_flip),
+            lambda: pump_step(PERFECT, PERFECT, StepKind.BIT, 0.0, meas_flip),
+            lambda: closed_form_infidelity(PumpSchedule(0, 0), params(), meas_flip),
+        ):
+            with pytest.raises(ValidationError, match="meas_flip"):
+                call()
+
+    @pytest.mark.parametrize("p_local", [-1e-3, 1.5, float("nan")])
+    def test_pump_step_p_local_out_of_range(self, p_local):
+        # The other entries read p_local from ErrorParams, which checks it.
+        with pytest.raises(ValidationError, match="p_local"):
+            pump_step(PERFECT, PERFECT, StepKind.PHASE, p_local, 0.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_edges_are_accepted(self, rate):
+        state = raw_pair(params(0.9))
+        assert pump_step(state, state, StepKind.BIT, rate, 0.5).success_prob == pytest.approx(0.5)
+        assert run_two_level(PumpSchedule(1, 1), params(0.9), rate).schedule == PumpSchedule(1, 1)
+        assert run_standard(2, params(0.9), rate).schedule == PumpSchedule(1, 1)
+
+
 class TestStepKernel:
     @settings(max_examples=100, deadline=None)
     @given(
