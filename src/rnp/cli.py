@@ -30,7 +30,7 @@ from .model import (
     ValidationError,
 )
 from .oracle import monte_carlo_pumping, simulate_pump_step
-from .pumping import MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
+from .pumping import MAX_BOUND, MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
 from .timing import PhysicalTimings, memory_check
 
 EXIT_OK = 0
@@ -71,6 +71,7 @@ def _number(parse, in_range, rule: str):
 _prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
+_bound = _number(int, lambda v: 0 <= v <= MAX_BOUND, f"must lie in [0, {MAX_BOUND}]")
 _standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
 _trials = _number(int, lambda v: 1 <= v <= 2**32, "must lie in [1, 4294967296]")
 _seed = _number(int, lambda v: 0 <= v < 2**64, "must lie in [0, 18446744073709551615]")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise", type=_noise_kind, default=None, help="raw pair noise (default: the preset's, else depolarizing)"
     )
     _add_timing_flags(p_plan, memory=True)
-    p_plan.add_argument("--bound", type=_nonneg_int("--bound"), default=15)
+    p_plan.add_argument("--bound", type=_bound("--bound"), default=15)
     p_plan.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)
     p_plan.set_defaults(func=_cmd_plan)
 
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--f-min", type=_prob("--f-min"), default=0.90)
     p_sweep.add_argument("--f-max", type=_prob("--f-max"), default=0.99)
     p_sweep.add_argument("--f-points", type=_nonneg_int("--f-points"), default=10)
-    p_sweep.add_argument("--bound", type=_nonneg_int("--bound"), default=15)
+    p_sweep.add_argument("--bound", type=_bound("--bound"), default=15)
     p_sweep.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -74,6 +74,8 @@ class StepKind(enum.Enum):
 
 
 def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    if isinstance(value, (str, bytes, bool)):  # float() would take "0.95" and True
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -110,10 +112,8 @@ class ErrorParams:
     noise: NoiseKind = NoiseKind.DEPOLARIZING
 
     def __post_init__(self) -> None:
-        _check_prob("p_local", self.p_local)
-        _check_prob("p_init", self.p_init)
-        _check_prob("p_meas", self.p_meas)
-        _check_prob("fidelity", self.fidelity)
+        for name in ("p_local", "p_init", "p_meas", "fidelity"):
+            object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
         if self.fidelity <= 0.5:
             raise UnpurifiableError(
                 f"fidelity must exceed 0.5 for purification, got {self.fidelity!r}"

@@ -123,7 +123,9 @@ class TestFlagErrors:
             (["plan", "--tau", "x"], "argument --tau: --tau expects a number, got 'x'"),
             (["plan", "--tau", "inf"], "argument --tau: --tau must be positive and finite, got inf"),
             (["plan", "--bound", "1.5"], "argument --bound: --bound expects an integer, got '1.5'"),
-            (["plan", "--bound", "-1"], "argument --bound: --bound must be >= 0, got -1"),
+            (["plan", "--bound", "-1"], "argument --bound: --bound must lie in [0, 64], got -1"),
+            (["plan", "--bound", "65"], "argument --bound: --bound must lie in [0, 64], got 65"),
+            (["plan", "--bound", "100000"], "argument --bound: --bound must lie in [0, 64], got 100000"),
             (
                 ["plan", "--noise", "x"],
                 "argument --noise: --noise must be 'depolarizing' or 'dephasing', got 'x'",
@@ -139,6 +141,16 @@ class TestFlagErrors:
             cli.main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"rnp plan: error: {message}"
+
+    @pytest.mark.parametrize("bound", ["-1", "65"])
+    def test_sweep_bound_range(self, capsys, bound):
+        # The PumpSchedule cap, as for plan: no larger schedule exists.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--bound", bound])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"rnp sweep: error: argument --bound: --bound must lie in [0, 64], got {bound}"
+        )
 
     @pytest.mark.parametrize("command", ["plan", "sweep"])
     @pytest.mark.parametrize("text", ["full_restart", "level_restart", "FULL", "Level"])
@@ -464,7 +476,8 @@ class TestSweep:
     @pytest.mark.parametrize("f_points", ["1", "4", "10"])
     @pytest.mark.parametrize("p_l_points", [1, 3])
     def test_one_search_per_p_l_column(self, capsys, monkeypatch, p_l_points, f_points):
-        # 2 * bound kernel calls per p_L value, whatever the number of F values.
+        # One kernel call per step of each p_L value's box, whatever the
+        # number of F values: (4, 6) at p_L 1e-6 and 3.2e-5, (3, 3) at 1e-3.
         calls = []
         real = pumping._step_rows
 
@@ -477,7 +490,9 @@ class TestSweep:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert len(out.splitlines()) == 1 + p_l_points * int(f_points)
-        assert len(calls) == p_l_points * 2 * 6
+        n_f = int(f_points)
+        column = [n_f] * 4 + [5 * n_f] * 6
+        assert calls == (column if p_l_points == 1 else column * 2 + [n_f] * 3 + [4 * n_f] * 3)
 
     @pytest.mark.parametrize("mode", ["full", "level"])
     def test_one_search_call_per_sweep(self, capsys, monkeypatch, mode):
@@ -502,8 +517,9 @@ class TestSweep:
         assert flips == [optimal_m(p, timings=TIMINGS).error_prob for p in rows]
 
     def test_repeated_p_l_shares_kernel_calls(self, capsys, monkeypatch):
-        # Two equal p_L points are one run of rows: 2 * bound kernel calls
-        # for all four rows, each row still the plan of its point.
+        # Two equal p_L points are one run of rows: one kernel call per step
+        # of the (4, 5) box for all four rows, each row still the plan of
+        # its point.
         calls = []
         real = pumping._step_rows
 
@@ -517,7 +533,7 @@ class TestSweep:
         assert code == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 4 and rows[:2] == rows[2:]
-        assert calls == [4] * 15 + [64] * 15
+        assert calls == [4] * 4 + [20] * 5
         for row, f in zip(rows, (0.9, 0.99)):
             r = plan(ErrorParams(p_local=1e-4, p_init=0.05, p_meas=0.05, fidelity=f), TIMINGS)
             assert row.split(",")[3:] == [

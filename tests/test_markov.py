@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import groupby
 
 import exact
 import numpy as np
@@ -438,6 +439,39 @@ def per_row_search(params, meas_flip, bound):
     return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
 
 
+def full_box_search(rows, meas_flip, bound):
+    """The search before its linear pre-pass, kept as its reference: each
+    slice of a run of rows that share the rates steps every schedule up to
+    ``bound`` and ranks them with ``search_schedule``'s tie-break."""
+    flips = np.broadcast_to(np.asarray(meas_flip, dtype=np.float64), len(rows)).tolist()
+    n_b_max = 0 if rows and rows[0].noise is NoiseKind.DEPHASING else bound
+    traces = []
+    for rates, run in groupby(zip(rows, flips), key=lambda row: (row[0].p_local, row[1])):
+        run = [p for p, _ in run]
+        for lo in range(0, len(run), pumping.SEARCH_SLICE):
+            bases = [pumping.raw_pair(p) for p in run[lo : lo + pumping.SEARCH_SLICE]]
+            n = len(bases)
+            (bit_s, bit_k), (phase_s, phase_k), keepers = pumping._two_level_rows(
+                np.array([b.as_tuple() for b in bases]), n_b_max, bound, *rates
+            )
+            errors = ((keepers[..., 1] + keepers[..., 2]) + keepers[..., 3]).reshape(bound + 1, n_b_max + 1, n)
+            p_steps, b_steps = np.indices(errors.shape[:2])
+            rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]
+            rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+            winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
+            for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
+                path = [(StepKind.BIT, bit_s[j, i], bit_k[j, i]) for j in range(n_b)]
+                path += [(StepKind.PHASE, phase_s[j, n_b * n + i], phase_k[j, n_b * n + i]) for j in range(n_p)]
+                traces.append(pumping._trace(base, path))
+    return traces
+
+
+def documented_gamma(bound):
+    """gamma_m of ``pumping._schedule_box``'s error bound at ``bound``."""
+    m = 52 * (2 * bound + bound * bound) + 8
+    return m * 2.0**-53 / (1 - m * 2.0**-53)
+
+
 def searched(p, meas_flip, bound=15):
     """(schedule, infidelity) that search_schedule picks."""
     trace = search_schedule([p], meas_flip, bound)[0]
@@ -498,29 +532,133 @@ class TestOptimizeSchedule:
         assert trace == prefix_sharing_search(p, 0.0, 26)
 
     @pytest.mark.parametrize(
-        "noise,calls,rows", [(NoiseKind.DEPOLARIZING, 30, 255), (NoiseKind.DEPHASING, 15, 15)]
+        "noise,n_f,box",
+        [
+            (NoiseKind.DEPOLARIZING, 1, (5, 9)),
+            (NoiseKind.DEPOLARIZING, 2, (5, 9)),
+            (NoiseKind.DEPOLARIZING, 10, (5, 9)),
+            (NoiseKind.DEPOLARIZING, pumping.SEARCH_SLICE, (5, 9)),
+            (NoiseKind.DEPHASING, 1, (0, 6)),
+            (NoiseKind.DEPHASING, 2, (0, 6)),
+            (NoiseKind.DEPHASING, 10, (0, 6)),
+            (NoiseKind.DEPHASING, pumping.SEARCH_SLICE, (0, 6)),
+        ],
     )
-    def test_one_pump_step_per_schedule(self, monkeypatch, noise, calls, rows):
-        # One row step per schedule but (0, 0) and per F, batched into kernel
-        # calls: bound bit steps on the column's raw pairs, then bound phase
-        # steps on every (n_b, F) row at once.  Dephased pairs keep n_b = 0.
-        # The kernel is looked up through rnp.pumping.
+    def test_one_pump_step_per_schedule(self, monkeypatch, noise, n_f, box):
+        # One row step per schedule of the pre-pass's box but (0, 0) and per
+        # F, batched into kernel calls: n_b bit steps on the column's raw
+        # pairs, then n_p phase steps on every (n_b, F) row at once.  The box
+        # is the winners' (F = 0.9 needs the deepest schedule), not 15 x 15.
+        # Dephased pairs keep n_b = 0.  The kernel is looked up through
+        # rnp.pumping.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        for n_f in (1, 2, 10, pumping.SEARCH_SLICE):
-            batches.clear()
-            search_schedule(column(np.linspace(0.9, 0.99, n_f), noise=noise), 1.2e-5, bound=15)
-            assert len(batches) == calls
-            assert sum(batches) == rows * n_f
+        traces = search_schedule(column(np.linspace(0.9, 0.99, n_f), noise=noise), 1.2e-5, bound=15)
+        n_b, n_p = box
+        assert (traces[0].schedule.n_b, traces[0].schedule.n_p) == box
+        assert batches == [n_f] * n_b + [(n_b + 1) * n_f] * n_p
 
     def test_long_column_is_searched_in_slices(self, monkeypatch):
+        # 64 + 64 + 3 rows; each slice steps its own box.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         n_f = 2 * pumping.SEARCH_SLICE + 3
         search_schedule(column(np.linspace(0.9, 0.99, n_f)), 1.2e-5, bound=15)
-        assert len(batches) == 3 * 30
-        assert max(batches) == 16 * pumping.SEARCH_SLICE
-        assert sum(batches) == 255 * n_f
+        assert batches == [64] * 5 + [384] * 9 + [64] * 4 + [320] * 6 + [3] * 3 + [12] * 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([1.0, 1 - 1e-16, 1 - 1e-13, 0.5 + 1e-15]),
+                    st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+                ),
+                st.sampled_from([0.0, 1e-300, 1e-6, 1e-4, 0.05, 0.95, 1.0]),
+                st.sampled_from([0.0, 1.2e-5, 1e-2, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=0, max_value=15),
+    )
+    def test_box_search_is_full_box_search(self, rows, noise, bound):
+        # The pre-pass only shrinks what is stepped: every trace is the one
+        # the full box gives, at the edges of each rate too.
+        points = [column([f], p_l, noise)[0] for f, p_l, _ in rows]
+        flips = [flip for *_, flip in rows]
+        assert search_schedule(points, flips, bound) == full_box_search(points, flips, bound)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        f=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
+        p_l=st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.9]),
+        eps_m=st.sampled_from([0.0, 1.2e-5, 0.01, 0.5]),
+        noise=st.sampled_from(list(NoiseKind)),
+        bound=st.integers(min_value=1, max_value=5),
+    )
+    def test_estimates_and_engine_are_within_the_documented_bound(self, f, p_l, eps_m, noise, bound):
+        # Both routes against the exact rational infidelity of every schedule.
+        p = column([f], p_l, noise)[0]
+        n_b_max = 0 if noise is NoiseKind.DEPHASING else bound
+        estimates = pumping._schedule_estimates(
+            np.array([pumping.raw_pair(p).as_tuple()]), n_b_max, bound, p_l, eps_m
+        )
+        assume(estimates is not None)  # F within ~1e-12 of 1: the fallback tests cover it
+        worst = 0.0
+        for n_b in range(n_b_max + 1):
+            steps = exact.run_two_level(PumpSchedule(n_b, bound), p, eps_m)
+            levels = [exact.raw_pair(f, noise)] + [populations for *_, populations in steps]
+            for n_p in range(bound + 1):
+                want = exact.infidelity(levels[n_b + n_p])
+                engine = run_two_level(PumpSchedule(n_b, n_p), p, eps_m).infidelity
+                worst = max(worst, relative_error(estimates[n_p, n_b, 0], want), relative_error(engine, want))
+        assert worst <= documented_gamma(bound)
+
+    def test_documented_bound_fits_the_margin(self):
+        # ((1 + g) / (1 - g))^2 - 1 = 4 g / (1 - g)^2 at the largest bound.
+        g = documented_gamma(pumping.MAX_BOUND)
+        assert g < 2.5e-11
+        assert 4 * g / (1 - g) ** 2 < 1e-10 < pumping.BOX_MARGIN
+
+    @pytest.mark.parametrize("fs,p_l,eps_m", [(np.linspace(0.9, 0.99, 10), 1e-6, 1.2e-5), ([1.0], 0.0, 0.0)])
+    def test_infinite_margin_steps_the_full_box(self, monkeypatch, fs, p_l, eps_m):
+        # The box of an infinite margin is the full one, also where the
+        # least estimate is 0, and it picks the same traces.
+        rows = column(fs, p_l)
+        boxed = search_schedule(rows, eps_m)
+        monkeypatch.setattr(pumping, "BOX_MARGIN", math.inf)
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            assert search_schedule(rows, eps_m) == boxed
+        assert len(batches) == 30
+
+    @pytest.mark.parametrize(
+        "f,p_l,eps_m,bound",
+        [
+            (0.9, 0.95, 1.2e-5, 15),  # p_local > 15/16: a < 0, the maps take signs
+            (0.9, 1e-300, 1.2e-5, 15),  # c = p_local/15 below 2^-200
+            (1 - 1e-13, 0.0, 0.0, 26),  # deep levels below 2^-200; the engine ties them at 0.0
+        ],
+    )
+    def test_fallbacks_step_the_full_box(self, monkeypatch, f, p_l, eps_m, bound):
+        rows = column([f, 0.95], p_l)
+        bases = np.array([pumping.raw_pair(p).as_tuple() for p in rows])
+        assert pumping._schedule_estimates(bases, bound, bound, p_l, eps_m) is None
+        batches = []
+        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        traces = search_schedule(rows, eps_m, bound)
+        assert len(batches) == 2 * bound
+        monkeypatch.undo()
+        assert traces == full_box_search(rows, eps_m, bound)
+
+    def test_non_finite_rows_step_the_full_box(self):
+        # No valid row is non-finite; the guard still holds on its own.
+        bases = np.array([[np.nan, 0.0, 0.0, 0.0], [0.9, 0.1, 0.0, 0.0]])
+        assert pumping._schedule_estimates(bases, 3, 4, 1e-6, 1.2e-5) is None
+        assert pumping._schedule_box(bases, 3, 4, 1e-6, 1.2e-5) == (3, 4)
 
     def test_empty_column(self, monkeypatch):
         batches = []
@@ -565,12 +703,13 @@ class TestOptimizeSchedule:
 
     def test_kernel_calls_follow_runs_of_shared_rates(self, monkeypatch):
         # Adjacent rows that share p_local and meas_flip share each kernel
-        # call; every change of either starts a new run of 30 calls.
+        # call; every change of either starts a new run, which steps its
+        # own box: (5, 9), (4, 5), (5, 7) and (5, 7) here.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         rows = column([0.9, 0.95]) + column([0.9], p_l=1e-4) + column([0.92, 0.93, 0.94])
         search_schedule(rows, [1e-5, 1e-5, 1e-5, 1e-5, 2e-5, 2e-5], bound=15)
-        assert batches == [2] * 15 + [32] * 15 + [1] * 15 + [16] * 15 + [1] * 15 + [16] * 15 + [2] * 15 + [32] * 15
+        assert batches == [2] * 5 + [12] * 9 + [1] * 4 + [5] * 5 + [1] * 5 + [6] * 7 + [2] * 5 + [12] * 7
 
     @pytest.mark.parametrize("meas_flip", [-1e-9, 1.5, 7.0, float("nan"), float("inf")])
     def test_meas_flip_out_of_range(self, meas_flip):
@@ -635,8 +774,8 @@ class TestOptimizeSchedule:
         assert traces == [per_row_search(p, 1.2e-5, 15) for p in rows]
 
     def test_memory_is_bounded_by_the_slice(self):
-        # The arrays of a search take ~32 KB per raw pair, so a long run of
-        # rows is searched slice by slice.  Past its returned traces (a few
+        # The arrays of a search peak at ~40 KB per raw pair (its pre-pass),
+        # so a long run of rows is searched slice by slice.  Past its returned traces (a few
         # KB per row, which any caller of many rows keeps), a 1,000-row
         # search peaks as high as a one-slice search does.
         def peak_and_kept(n):
@@ -705,10 +844,14 @@ class TestLibraryGuards:
         with pytest.raises(ValidationError, match="delta_min must lie in"):
             solve_budget(chain, delta_min)
 
-    @pytest.mark.parametrize("bound", [-1, 1.5])
+    @pytest.mark.parametrize("bound", [-1, 1.5, True, pumping.MAX_BOUND + 1, 100_000])
     def test_bad_bound(self, bound):
-        with pytest.raises(ValidationError, match="bound must be a nonnegative integer"):
+        # 64 steps of either kind is the PumpSchedule cap; a larger bound
+        # would only cost O(bound^2) memory.  Checked before any step.
+        with pytest.raises(ValidationError, match=r"bound must be an integer in \[0, 64\]"):
             search_schedule(column([0.9]), 1.2e-5, bound)
+        with pytest.raises(ValidationError, match=r"bound must be an integer in \[0, 64\]"):
+            plan(params(0.9), TIMINGS, bound=bound)
 
     def test_plan_needs_a_readout_duration(self):
         p = params(0.95)
@@ -768,14 +911,17 @@ class TestPlan:
         assert r.eps_fail == failure_probability(chain, r.n_tot_budget)
         assert r.expected_pairs == expected_pairs(chain)
 
-    @pytest.mark.parametrize("preset,calls", [("ion-depolarizing", 30), ("nv-dephasing", 15)])
+    @pytest.mark.parametrize(
+        "preset,calls", [("ion-depolarizing", [1] * 4 + [5] * 5), ("nv-dephasing", [1] * 5)]
+    )
     def test_plan_reuses_search_trace(self, monkeypatch, capsys, preset, calls):
-        # Only the search's kernel calls: the chosen schedule is not traced again.
+        # Only the search's kernel calls, one per step of the winning (4, 5)
+        # or (0, 5) box: the chosen schedule is not traced again.
         batches = []
         monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
         assert cli.main(["plan", "--preset", preset]) == 0
         capsys.readouterr()
-        assert len(batches) == calls
+        assert batches == calls
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     def test_plan_builds_transient_block_once(self, monkeypatch, mode):

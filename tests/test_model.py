@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +33,19 @@ class TestErrorParams:
     def test_rejects_non_probabilities(self, bad):
         with pytest.raises(ValidationError):
             ErrorParams(p_local=bad, p_init=0.0, p_meas=0.0, fidelity=0.9)
+
+    @pytest.mark.parametrize("field", ["p_local", "p_init", "p_meas", "fidelity"])
+    @pytest.mark.parametrize("bad", ["0.95", True, False])
+    def test_rejects_text_and_bools(self, field, bad):
+        # float() would take both; the fields must hold checked numbers.
+        values = {"p_local": 1e-6, "p_init": 0.05, "p_meas": 0.05, "fidelity": 0.95, field: bad}
+        with pytest.raises(ValidationError, match=f"{field} must be a number, got {bad!r}"):
+            ErrorParams(**values)
+
+    def test_stores_the_checked_floats(self):
+        p = ErrorParams(p_local=np.float64(1e-6), p_init=1, p_meas=np.float32(0.5), fidelity=0.95)
+        assert [type(v) for v in (p.p_local, p.p_init, p.p_meas, p.fidelity)] == [float] * 4
+        assert (p.p_local, p.p_init, p.p_meas) == (1e-6, 1.0, 0.5)
 
 
 class TestBellDiagonalState:
