@@ -18,7 +18,7 @@ import numpy as np
 
 from . import timing
 from .markov import build_chain, compose_plan, expected_pairs, failure_probability, plan
-from .measurement import optimal_m
+from .measurement import MAX_M, optimal_m
 from .model import (
     BudgetCapError,
     ErrorParams,
@@ -71,6 +71,7 @@ def _number(parse, in_range, rule: str):
 _prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
+_m_max = _number(int, lambda v: 0 <= v <= MAX_M, f"must lie in [0, {MAX_M}]")
 _bound = _number(int, lambda v: 0 <= v <= MAX_BOUND, f"must lie in [0, {MAX_BOUND}]")
 _standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
 _trials = _number(int, lambda v: 1 <= v <= 2**32, "must lie in [1, 4294967296]")
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", allow_abbrev=False, help="optimal majority-vote readout")
     _add_error_flags(p_measure)
-    p_measure.add_argument("--m-max", type=_nonneg_int("--m-max"), default=25)
+    p_measure.add_argument("--m-max", type=_m_max("--m-max"), default=25)
     _add_timing_flags(p_measure)
     p_measure.add_argument("--json", action="store_true")
     p_measure.set_defaults(func=_cmd_measure)

@@ -14,7 +14,11 @@ import math
 from .model import ErrorParams, MeasurementPlan, ValidationError
 from .timing import PhysicalTimings
 
-__all__ = ["measurement_error", "exact_vote_error", "measurement_time", "optimal_m"]
+__all__ = ["measurement_error", "exact_vote_error", "measurement_time", "optimal_m", "MAX_M"]
+
+#: Largest repetition count ``optimal_m`` scans: above it the binomial
+#: coefficients of ``exact_vote_error``'s tail exceed the float range.
+MAX_M = 514
 
 
 def measurement_error(m: int, params: ErrorParams) -> float:
@@ -74,15 +78,16 @@ def optimal_m(
     m_max: int = 25,
     timings: PhysicalTimings | None = None,
 ) -> MeasurementPlan:
-    """Pick the repetition count in [0, m_max] minimizing the voted error.
+    """Pick the repetition count in [0, m_max] minimizing the voted error;
+    ``m_max`` is an integer in [0, MAX_M].
 
     Minimizes the exact vote error (not its leading-order estimate, whose
     argmin lands one repetition high near the crossover).  Ties break
     toward smaller m (shorter readout).  When timings are given the plan
     also carries the readout duration.
     """
-    if not isinstance(m_max, int) or m_max < 0:
-        raise ValidationError(f"m_max must be a nonnegative integer, got {m_max!r}")
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or not 0 <= m_max <= MAX_M:
+        raise ValidationError(f"m_max must be an integer in [0, {MAX_M}], got {m_max!r}")
     best_m = 0
     best_eps = exact_vote_error(0, params)
     for m in range(1, m_max + 1):

@@ -73,10 +73,14 @@ class StepKind(enum.Enum):
     PHASE = "phase"
 
 
-def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> float:
+def _check_number(name: str, value: float) -> float:
     if isinstance(value, (str, bytes, bool)):  # float() would take "0.95" and True
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    return float(value)
+
+
+def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    value = _check_number(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if not (lo <= value <= hi):
@@ -85,7 +89,7 @@ def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> fl
 
 
 def _check_positive(name: str, value: float) -> float:
-    value = float(value)
+    value = _check_number(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return value

@@ -22,6 +22,13 @@ compared outcomes independently,
 so the comparison itself flips with probability 2*eps*(1-eps).  The maps
 here are the closed-form transcription of exactly what the density-matrix
 oracle computes; the oracle is the arbiter (they agree to 1e-10).
+
+With the fresh pair fixed, a step is linear in the keeper's populations:
+a 4x4 nonnegative map (``_operators``; Duer & Briegel, Rep. Prog. Phys.
+70, 1381 (2007), write pumping this way).  Every trace here, of
+``pump_step``, ``run_two_level``, ``run_standard`` and ``search_schedule``,
+applies one such map per step (``_pump``), built from the step's own fresh
+pair, so the search ranks exactly the numbers its traces print.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,22 +62,14 @@ __all__ = [
     "closed_form_infidelity",
 ]
 
-#: Raw pairs a schedule search steps at once.  At bound 15 its pre-pass
-#: holds ~8 KB per raw pair (~40 KB at its peak) and its stepped box at most
-#: ~24 KB, so a longer run of rows is searched slice by slice.
+#: Raw pairs a schedule search steps at once.  Its arrays (every schedule's
+#: keeper and every phase step's accepted keeper) peak at ~24 KB per raw pair
+#: at bound 15 and ~410 KB at bound 64, so a longer run of rows is searched
+#: slice by slice.
 SEARCH_SLICE = 64
 
 #: Largest search bound: a PumpSchedule holds at most 64 steps of each kind.
 MAX_BOUND = 64
-
-#: Relative margin of the search's pre-pass: a schedule is stepped when its
-#: linear estimate lies within this of its row's least estimate.  It exceeds
-#: 4*gamma_m at bound 64 (see ``_schedule_box``), so no winner falls outside.
-BOX_MARGIN = 1e-9
-
-# Smallest nonzero value the pre-pass's error bound admits: a product of five
-# such values is still a normal float, so no value of either route underflows.
-_TINY = 2.0**-200
 
 
 def _cnot_gather(kind: StepKind) -> np.ndarray:
@@ -84,26 +82,15 @@ def _cnot_gather(kind: StepKind) -> np.ndarray:
 
 _GATHER = {kind: _cnot_gather(kind) for kind in StepKind}
 
-# Keeper and fresh Bell index of the old joint flag index (4*keeper + fresh)
-# that each new index gathers.
-_KEEPER_OF = {kind: _GATHER[kind] >> 2 for kind in StepKind}
-_FRESH_OF = {kind: _GATHER[kind] & 3 for kind in StepKind}
+# Fresh Bell index of the old joint flag index (4*keeper + fresh) that each
+# new index gathers, as [i', j'] for new index 4*i' + j'.
+_FRESH_OF = {kind: (_GATHER[kind] & 3).reshape(4, 4) for kind in StepKind}
 
 # Measured parity bit per joint flag index: x2 for bit steps, z2 for phase.
 _PARITY = {StepKind.BIT: np.arange(16) >> 1 & 1, StepKind.PHASE: np.arange(16) & 1}
 
 # [i, i', j']: whether new index 4*i' + j' gathers keeper index i.
-_KEEPER_HOT = {kind: _KEEPER_OF[kind].reshape(4, 4) == np.arange(4)[:, None, None] for kind in StepKind}
-
-
-def _hit(weight: float) -> tuple[float, float]:
-    """(a, c) of one depolarizing hit of weight ``weight``.
-
-    The 16 two-qubit Pauli patterns map one-to-one onto flag-flip masks;
-    identity keeps 1-weight, the 15 others move weight/15 each.  So one hit
-    is (Mv)_j = a*v_j + c*sum(v) with a = 1 - 16*weight/15, c = weight/15.
-    """
-    return 1.0 - 16.0 * weight / 15.0, weight / 15.0
+_KEEPER_HOT = {kind: (_GATHER[kind] >> 2).reshape(4, 4) == np.arange(4)[:, None, None] for kind in StepKind}
 
 
 def _acceptance_weights(kind: StepKind, meas_flip: float) -> np.ndarray:
@@ -113,81 +100,63 @@ def _acceptance_weights(kind: StepKind, meas_flip: float) -> np.ndarray:
     return np.where(_PARITY[kind] == 0, 1.0 - comp_flip, comp_flip)
 
 
-def _depolarize_twice(dist: np.ndarray, weight: float) -> np.ndarray:
-    """Both registers' depolarizing hits on rows of 16 flag probabilities,
-    in place.  M keeps sum(v), so two hits (``_hit``) are
-    M^2 v = a*(a*v + c*sum(v)) + c*sum(v).
+def _left_sum(x: np.ndarray) -> np.ndarray:
+    """x[0] + x[1] + x[2] + x[3] over the leading axis, left to right, as
+    BellDiagonalState sums its components."""
+    return ((x[0] + x[1]) + x[2]) + x[3]
+
+
+def _operators(fresh: np.ndarray, kind: StepKind, p_local: float, meas_flip: float) -> np.ndarray:
+    """Each fresh pair's step as a 4x4 map T: the accepted keeper weights,
+    before their division by the success, are keeper @ T.
+
+    The 16 two-qubit Pauli patterns map one-to-one onto flag-flip masks;
+    identity keeps 1-p_local, the 15 others move p_local/15 each.  So one
+    register's hit is (Hv)_J = a*v_J + c*sum(v) with a = 1 - 16*p_local/15
+    and c = p_local/15, and H keeps sum(v), so both registers' hits are
+    H^2 v = a^2 v + c*(1+a)*sum(v).  The step gathers keeper[i] * fresh[j]
+    into new flag index J = 4*i' + j', hits it twice and weighs it by w[J],
+    so T[i, i'] = sum over the J that gather keeper index i of
+    a^2 w[J] fresh[j], plus c*(1+a) sum(fresh) sum_j' w[J].  Both terms are
+    products of nonnegative numbers for every p_local in [0, 1]
+    (a >= -1/15), and each T[i, i'] gathers two terms or none, so its sum
+    has one rounding whatever the order.  Component axes lead: ``fresh`` is
+    [j, ...], T [i, i', ...].
     """
-    a, c = _hit(weight)
-    c_sum = c * np.add.reduce(dist, axis=1, keepdims=True)
-    dist *= a
-    dist += c_sum
-    dist *= a
-    dist += c_sum
-    return dist
+    a, c = 1.0 - 16.0 * p_local / 15.0, p_local / 15.0
+    weights = _acceptance_weights(kind, meas_flip).reshape(4, 4)
+    trail = (1,) * (fresh.ndim - 1)
+    gathered = fresh.take(_FRESH_OF[kind], axis=0) * (a * a * weights).reshape(4, 4, *trail)
+    direct = np.add.reduce(_KEEPER_HOT[kind].reshape(4, 4, 4, *trail) * gathered, axis=2)
+    return direct + (c * (1.0 + a)) * _left_sum(fresh) * _left_sum(weights.T).reshape(4, *trail)
 
 
-class _Fresh(NamedTuple):
-    """What every step of one kind on the same fresh rows shares: the keeper
-    index each new flag index gathers, the fresh rows gathered to the new
-    flag order, and each new flag index's acceptance weight."""
+def _pump(start: np.ndarray, op: np.ndarray, steps: int):
+    """``steps`` pump steps by the map ``op`` (``_operators``) from the keepers
+    ``start``, as [component, ...].
 
-    keeper_of: np.ndarray
-    rows: np.ndarray
-    weights: np.ndarray
-
-
-def _fresh(rows: np.ndarray, kind: StepKind, meas_flip: float) -> _Fresh:
-    if not isinstance(kind, StepKind):
-        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
-    return _Fresh(_KEEPER_OF[kind], rows.take(_FRESH_OF[kind], axis=1), _acceptance_weights(kind, meas_flip))
-
-
-def _check_acceptance(success: np.ndarray) -> None:
+    Each step's level is keeper @ op, its success the level's left-to-right
+    sum, its accepted keeper the level over the success, and its stored
+    keeper what BellDiagonalState keeps of that: the accepted keeper over its
+    own left-to-right sum.  Returns the successes [step, ...], the accepted
+    keepers [step, component, ...] and the keeper after each number of steps
+    [steps + 1, component, ...].  Every sum has one fixed order and no BLAS
+    call, so a row's bits do not depend on its batch.  Raises
+    ValidationError if any step never succeeds.
+    """
+    success = np.empty((steps, *start.shape[1:]))
+    accepted = np.empty((steps, *start.shape))
+    stored = np.empty((steps + 1, *start.shape))
+    stored[0] = start
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+        for k, (keeper, kept, after) in enumerate(zip(stored, accepted, stored[1:])):
+            level = _left_sum(keeper[:, None] * op)
+            success[k] = total = _left_sum(level)
+            np.divide(level, total, out=kept)
+            np.divide(kept, _left_sum(kept), out=after)
     if (success <= 0.0).any():
         raise ValidationError("pump step has zero acceptance probability")
-
-
-def _step_rows(
-    keepers: np.ndarray,
-    fresh: np.ndarray | _Fresh,
-    kind: StepKind,
-    p_local: float,
-    meas_flip: float,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``pump_step``'s map on each row: keeper ``keepers[i]``, fresh ``fresh[i]``.
-
-    Returns each row's success probability and accepted keeper populations,
-    before ``BellDiagonalState`` renormalises them (``_stored_rows``), written
-    to ``out`` when given.  Rows reduce in one fixed order without BLAS, so a
-    row's bits do not depend on its batch.  ``fresh`` is the fresh rows, or
-    their ``_fresh`` form, which a loop of steps builds once.  Given the rows,
-    raises ValidationError if any row never succeeds; a loop that passes the
-    ``_fresh`` form checks its successes itself (``_check_acceptance``).
-    """
-    prepared = isinstance(fresh, _Fresh)
-    if not prepared:
-        fresh = _fresh(fresh, kind, meas_flip)
-    n = len(keepers)
-    success, accepted = (np.empty(n), np.empty((n, 4))) if out is None else out
-    # take() keeps the rows contiguous, so every row sums in the same order.
-    dist = keepers.take(fresh.keeper_of, axis=1)
-    dist *= fresh.rows
-    dist = _depolarize_twice(dist, p_local)
-    dist *= fresh.weights
-    np.add.reduce(dist, axis=1, out=success)
-    if not prepared:
-        _check_acceptance(success)
-    np.add.reduce(dist.reshape(n, 4, 4), axis=2, out=accepted)
-    accepted /= success[:, None]
-    return success, accepted
-
-
-def _stored_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """What ``BellDiagonalState`` stores for each row of ``_step_rows``: the row
-    over its left-to-right sum.  M^2 v >= 0, so its clamp to 0 never applies."""
-    return np.divide(rows, (((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3])[:, None], out=out)
+    return success, accepted, stored
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,8 +189,8 @@ class PumpTrace:
 
 
 def _trace(state: BellDiagonalState, path) -> PumpTrace:
-    """Trace from keeper ``state`` along (kind, success, accepted row) results
-    of ``_step_rows``; its schedule counts the path's bit and phase steps."""
+    """Trace from keeper ``state`` along (kind, success, accepted keeper)
+    results of ``_pump``; its schedule counts the path's bit and phase steps."""
     steps: list[StepRecord] = []
     for kind, success, accepted in path:
         after = BellDiagonalState.from_vector(accepted)
@@ -229,35 +198,6 @@ def _trace(state: BellDiagonalState, path) -> PumpTrace:
         state = after
     n_p = sum(s.kind is StepKind.PHASE for s in steps)
     return PumpTrace(PumpSchedule(len(steps) - n_p, n_p), tuple(steps), state, state.infidelity)
-
-
-def _two_level_rows(bases: np.ndarray, n_b: int, n_p: int, p_local: float, meas_flip: float):
-    """n_b bit steps on the raw rows ``bases``, then n_p phase steps on every
-    bit level at once (keeper row j*len(bases) + i is raw row i after j bit
-    steps, and its own fresh input).
-
-    Returns the bit and the phase steps' ``_step_rows`` results, each a
-    (success, accepted) pair of arrays indexed by step first, and the keeper
-    rows after each number of phase steps, ``keepers[j]``.  Rows hold what a
-    BellDiagonalState stores, so they are the step-by-step trace bit for bit.
-    """
-    n = len(bases)
-    keepers = np.empty((n_p + 1, (n_b + 1) * n, 4))
-    levels = keepers[0].reshape(n_b + 1, n, 4)
-    levels[0] = bases
-    bit_steps = np.empty((n_b, n)), np.empty((n_b, n, 4))
-    fresh = _fresh(bases, StepKind.BIT, meas_flip)
-    for j in range(n_b):
-        _step_rows(levels[j], fresh, StepKind.BIT, p_local, meas_flip, (bit_steps[0][j], bit_steps[1][j]))
-        _stored_rows(bit_steps[1][j], out=levels[j + 1])
-    phase_steps = np.empty((n_p, (n_b + 1) * n)), np.empty((n_p, (n_b + 1) * n, 4))
-    fresh = _fresh(keepers[0], StepKind.PHASE, meas_flip)
-    for j in range(n_p):
-        _step_rows(keepers[j], fresh, StepKind.PHASE, p_local, meas_flip, (phase_steps[0][j], phase_steps[1][j]))
-        _stored_rows(phase_steps[1][j], out=keepers[j + 1])
-    _check_acceptance(bit_steps[0])
-    _check_acceptance(phase_steps[0])
-    return bit_steps, phase_steps, keepers
 
 
 def raw_pair(params: ErrorParams) -> BellDiagonalState:
@@ -288,8 +228,10 @@ def pump_step(
     each register's CNOT.
     """
     rates = _check_prob("p_local", p_local), _check_prob("meas_flip", meas_flip)
-    success, keeper = _step_rows(np.array([target.as_tuple()]), np.array([fresh.as_tuple()]), kind, *rates)
-    return _trace(target, [(kind, success[0], keeper[0])]).steps[0]
+    if not isinstance(kind, StepKind):
+        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
+    success, accepted, _ = _pump(np.array(target.as_tuple()), _operators(np.array(fresh.as_tuple()), kind, *rates), 1)
+    return _trace(target, [(kind, success[0], accepted[0])]).steps[0]
 
 
 def run_two_level(
@@ -302,132 +244,17 @@ def run_two_level(
     Level one filters bit errors: a raw keeper is pumped n_b times with raw
     fresh pairs.  Level two filters phase errors: the bit-purified pair is
     the keeper and also the fresh input of each of the n_p phase steps.
-    It is the search's engine on one raw pair, read at its last bit level.
+    Its steps are the search's, bit for bit: the same maps on one raw pair.
     """
     base = raw_pair(params)
     rates = params.p_local, _check_prob("meas_flip", meas_flip)
-    bit_steps, phase_steps, _ = _two_level_rows(np.array([base.as_tuple()]), schedule.n_b, schedule.n_p, *rates)
-    path = [(StepKind.BIT, s[0], k[0]) for s, k in zip(*bit_steps)]
-    path += [(StepKind.PHASE, s[-1], k[-1]) for s, k in zip(*phase_steps)]
+    raw = np.array(base.as_tuple())
+    bit_success, bit_kept, bit_levels = _pump(raw, _operators(raw, StepKind.BIT, *rates), schedule.n_b)
+    purified = bit_levels[-1]
+    phase_success, phase_kept, _ = _pump(purified, _operators(purified, StepKind.PHASE, *rates), schedule.n_p)
+    path = [(StepKind.BIT, *step) for step in zip(bit_success, bit_kept)]
+    path += [(StepKind.PHASE, *step) for step in zip(phase_success, phase_kept)]
     return _trace(base, path)
-
-
-def _operators(fresh: np.ndarray, kind: StepKind, p_local: float, meas_flip: float) -> np.ndarray:
-    """Each fresh pair's step as a 4x4 map T: ``_step_rows``' accepted keeper
-    before its division by success is keeper @ T.
-
-    With new flag index J = 4*i' + j', the kernel's accepted weight of i' is
-    sum_j' w[J] (a^2 dist[J] + (a*c + c) sum(dist)), and dist[J] is keeper[i]
-    times fresh[j] for the (i, j) that J gathers.  So T[i, i'] sums
-    w[J] a^2 fresh[j] over the J that gather keeper index i, plus
-    (a*c + c) sum(fresh) sum_j' w[J].  It uses the kernel's own rounded a, c
-    and weights, and every entry is a sum of products of nonnegative numbers
-    when a >= 0.  Component axes lead: ``fresh`` is [j, ...], T [i, i', ...].
-    """
-    a, c = _hit(p_local)
-    weights = _acceptance_weights(kind, meas_flip).reshape(4, 4)
-    trail = (1,) * (fresh.ndim - 1)
-    gathered = fresh.take(_FRESH_OF[kind].reshape(4, 4), axis=0) * (a * a * weights).reshape(4, 4, *trail)
-    direct = np.add.reduce(_KEEPER_HOT[kind].reshape(4, 4, 4, *trail) * gathered, axis=2)
-    return direct + ((a * c + c) * np.add.reduce(fresh, axis=0)) * weights.sum(axis=1).reshape(4, *trail)
-
-
-def _orbit(start: np.ndarray, op: np.ndarray, count: int, seen: list) -> np.ndarray:
-    """Rows start @ op^k for k < count, as [component, k, ...], by doubling:
-    the rows so far times op^(2^i), then op squared.  Sums its own products
-    (no BLAS call).  Appends each power of ``op`` it multiplies by to
-    ``seen``."""
-    rows = np.empty((4, count, *start.shape[1:]))
-    rows[:, 0] = start
-    done = 1
-    while done < count:
-        seen.append(op)
-        more = min(done, count - done)
-        np.add.reduce(rows[:, None, :more] * op[:, :, None], axis=0, out=rows[:, done : done + more])
-        done += more
-        if done < count:
-            op = np.add.reduce(op[:, :, None] * op[None], axis=1)
-    return rows
-
-
-def _schedule_estimates(bases: np.ndarray, n_b_max: int, bound: int, p_local: float, meas_flip: float):
-    """Infidelity of every schedule of every raw row by its linear form,
-    indexed [n_p, n_b, row], or None where ``_schedule_box``'s error bound
-    does not hold.
-
-    Bit level n_b is u B^n_b (u the raw row, B its bit-step map), phase
-    level n_p of it is v M^n_p with v that level over its sum and M the
-    phase-step map whose fresh pair is v.  Normalising only rescales a row,
-    so schedule (n_b, n_p) has infidelity (v1 + v2 + v3) / sum(v).
-    """
-    a, c = _hit(p_local)
-    if a < 0.0:
-        return None
-    seen = [np.array([a, c]), _acceptance_weights(StepKind.BIT, meas_flip)]
-    raw = bases.T
-    levels = raw[:, None]
-    if n_b_max:
-        levels = _orbit(raw, _operators(raw, StepKind.BIT, p_local, meas_flip), n_b_max + 1, seen)
-    fresh = levels / np.add.reduce(levels, axis=0)
-    grid = _orbit(fresh, _operators(fresh, StepKind.PHASE, p_local, meas_flip), bound + 1, seen)
-    values = np.concatenate(seen + [levels, grid], axis=None)
-    if not (np.isfinite(values).all() and values.min(where=values > 0.0, initial=1.0) >= _TINY):
-        return None
-    errors = (grid[1] + grid[2]) + grid[3]
-    return errors / (errors + grid[0])
-
-
-def _schedule_box(bases: np.ndarray, n_b_max: int, bound: int, p_local: float, meas_flip: float) -> tuple[int, int]:
-    """Least (n_b, n_p) box that holds, for every raw row, every schedule
-    the search engine would rank first: the bounding box of the schedules
-    whose ``_schedule_estimates`` value lies within ``BOX_MARGIN`` of their
-    row's least, or the full (n_b_max, bound) box where the bound fails.
-
-    Why the box holds the winner.  Both routes apply +, * and / to
-    nonnegative numbers only (a >= 0; weights, c and the rows are
-    nonnegative), with the same rounded a, c and weights, so both
-    approximate the same exact infidelity x.  Without underflow each
-    rounded operation is exact times (1 + d), |d| <= u = 2^-53.  Write
-    (1 + theta_m) for a factor with |theta_m| <= gamma_m = m*u / (1 - m*u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-    section 3.5): a sum of n nonnegative terms that carry (1 + theta_k),
-    added in any order, carries (1 + theta_{k+n-1}), and a product or
-    quotient of values that carry (1 + theta_j) and (1 + theta_k) carries
-    (1 + theta_{j+k+1}).  Both maps are linear in the keeper and in the
-    fresh pair, so a common positive scale (a division by success or by a
-    row sum) cancels and only the per-component factors add up.  A kernel
-    step adds at most 26 to its keeper's and fresh pair's (keeper * fresh
-    1; the 16-term sum and c 16; +c_sum, *a, +c_sum 3; the weights 1; the
-    4-term sum 3; the two divisions 2), so engine level
-    (n_b, n_p) carries K_e <= 26 (n_b + n_p + n_b n_p).  The pre-pass builds
-    each map within 13 of its fresh pair and a doubling product adds 4, so
-    K_p <= 17 (n_b + n_p + n_b n_p) + 1.  An infidelity is a ratio of two
-    sums of a level's components, so both the engine's value E and the
-    estimate e lie within gamma_m of x, relatively, with m = 52 (2 b + b^2)
-    + 8 at bound b: gamma_m < 2.5e-11 at b = 64.  For the engine's winner s
-    and the least estimate e0 at s0,
-    e(s) <= (1+g) x(s) <= (1+g)/(1-g) E(s) <= (1+g)/(1-g) E(s0)
-         <= ((1+g)/(1-g))^2 e0,
-    within 4 g / (1 - g)^2 < 1e-10 < BOX_MARGIN of e0; so every schedule
-    the engine ties at its least value is in the box, and the box's own
-    tie-break picks the full search's schedule.  x = 0 exactly where either
-    route computes 0.
-
-    Fallbacks (the full box): a < 0 (p_local > 15/16), where the maps take
-    signs; a non-finite value; or a nonzero value below 2^-200 among the
-    rates and weights, the pre-pass's maps and powers, and the levels of
-    every schedule (a stored row is no smaller: a level sums to at most 1).
-    Above that a product of five such values, the most either route forms
-    before a sum, is at least 2^-1000, a normal float, so neither route
-    underflows and the bound above holds.
-    """
-    estimates = _schedule_estimates(bases, n_b_max, bound, p_local, meas_flip)
-    if estimates is None:
-        return n_b_max, bound
-    # ~(e > limit), not e <= limit: an infinite margin over e0 = 0 is nan.
-    near = ~(estimates > estimates.min(axis=(0, 1)) * (1.0 + BOX_MARGIN))
-    n_p, n_b = np.nonzero(near.any(axis=2))
-    return int(n_b.max()), int(n_p.max())
 
 
 def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[float], bound: int = 15) -> list[PumpTrace]:
@@ -441,13 +268,12 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
     restricted to the one-level (n_b = 0) row.
 
     Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
-    bit-purified pair of n_b is that of n_b - 1 plus one bit step, so one
-    ``_two_level_rows`` call steps every schedule of a box for up to
-    ``SEARCH_SLICE`` adjacent rows that share ``p_local`` and ``meas_flip``
-    (a sweep's F values at one p_L).  A linear pre-pass (``_schedule_box``)
-    first ranks every schedule of those rows and picks the least box that
-    provably holds each row's winner, so the engine makes n_b + n_p kernel
-    calls for that box, not 2 * bound, and returns what the full box would.
+    bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So for
+    up to ``SEARCH_SLICE`` adjacent rows that share ``p_local`` and
+    ``meas_flip`` (a sweep's F values at one p_L), n_b_max bit steps on the
+    raw pairs and then ``bound`` phase steps on every bit level at once step
+    every schedule of the grid: n_b_max + bound map applications.  The
+    search ranks exactly the infidelities its traces print.
     """
     if not isinstance(bound, int) or isinstance(bound, bool) or not 0 <= bound <= MAX_BOUND:
         raise ValidationError(f"bound must be an integer in [0, {MAX_BOUND}], got {bound!r}")
@@ -467,24 +293,24 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
         for lo in range(0, len(run), SEARCH_SLICE):
             bases = [raw_pair(p) for p in run[lo : lo + SEARCH_SLICE]]
             n = len(bases)
-            base_rows = np.array([b.as_tuple() for b in bases])
-            box_b, box_p = _schedule_box(base_rows, n_b_max, bound, *rates)
-            (bit_success, bit_kept), (phase_success, phase_kept), keepers = _two_level_rows(
-                base_rows, box_b, box_p, *rates
-            )
+            raw = np.array([b.as_tuple() for b in bases]).T
+            bit_success, bit_kept, bit_levels = _pump(raw, _operators(raw, StepKind.BIT, *rates), n_b_max)
+            # Bit level j of raw row i is keeper j*n + i, and its own fresh pair.
+            purified = np.moveaxis(bit_levels, 1, 0).reshape(4, -1)
+            phase_success, phase_kept, keepers = _pump(purified, _operators(purified, StepKind.PHASE, *rates), bound)
 
             # Least infidelity; ties go to fewer total steps, then fewer phase steps.
-            # keepers[n_p, n_b*n + i] is schedule (n_b, n_p) of row i.
-            errors = ((keepers[..., 1] + keepers[..., 2]) + keepers[..., 3]).reshape(box_p + 1, box_b + 1, n)
+            # keepers[n_p, :, n_b*n + i] is schedule (n_b, n_p) of row i.
+            errors = ((keepers[:, 1] + keepers[:, 2]) + keepers[:, 3]).reshape(bound + 1, n_b_max + 1, n)
             p_steps, b_steps = np.indices(errors.shape[:2])
-            rank = ((p_steps + b_steps) * (box_p + 1) + p_steps)[..., None]  # unique per schedule
+            rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
             rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
             winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
 
             for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-                path = [(StepKind.BIT, bit_success[j, i], bit_kept[j, i]) for j in range(n_b)]
+                path = [(StepKind.BIT, bit_success[j, i], bit_kept[j, :, i]) for j in range(n_b)]
                 row = n_b * n + i
-                path += [(StepKind.PHASE, phase_success[j, row], phase_kept[j, row]) for j in range(n_p)]
+                path += [(StepKind.PHASE, phase_success[j, row], phase_kept[j, :, row]) for j in range(n_p)]
                 traces.append(_trace(base, path))
     return traces
 
@@ -509,13 +335,14 @@ def run_standard(
         raise ValidationError(f"total_steps must be an integer in [0, {MAX_STANDARD_STEPS}], got {total_steps!r}")
     meas_flip = _check_prob("meas_flip", meas_flip)
     base = raw_pair(params)
-    fresh = keeper = np.array([base.as_tuple()])
+    keeper = np.array(base.as_tuple())
+    ops = {kind: _operators(keeper, kind, params.p_local, meas_flip) for kind in StepKind}
     path = []
     for i in range(total_steps):
         kind = StepKind.BIT if i % 2 == 0 else StepKind.PHASE
-        success, accepted = _step_rows(keeper, fresh, kind, params.p_local, meas_flip)
+        success, accepted, stored = _pump(keeper, ops[kind], 1)
         path.append((kind, success[0], accepted[0]))
-        keeper = _stored_rows(accepted)
+        keeper = stored[1]
     return _trace(base, path)
 
 

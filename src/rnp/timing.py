@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import ValidationError, _check_positive
+from .model import ValidationError, _check_number, _check_positive
 
 __all__ = ["PhysicalTimings", "memory_check", "MemoryCheck"]
 
@@ -43,6 +43,9 @@ class PhysicalTimings:
     t_ent: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("p_meas", "eta", "tau", "purcell_c", "t_local", "t_mem"):
+            if getattr(self, name) is not None:  # t_mem alone may be None
+                object.__setattr__(self, name, _check_number(name, getattr(self, name)))
         p_meas, eta, tau, purcell_c = self.p_meas, self.eta, self.tau, self.purcell_c
         if not (0.0 < eta < 1.0):
             raise ValidationError(f"eta must lie strictly inside (0, 1), got {eta!r}")

@@ -28,32 +28,32 @@ SMALL_SWEEP = [
 #: Exact `rnp plan --preset PRESET --restart-mode MODE` stdout.
 FROZEN_PLANS = {
     ("ion-depolarizing", "full"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.5870488210613475e-06, '
-        '"n_tot_budget": 703, "expected_pairs": 76.84246740177291, '
-        '"eps_fail": 4.507532080048091e-06, "eps_E": 9.09458090110944e-06, '
-        '"t_robust_ent": 0.00024009306274727274, "t_C": 0.00024295691841214964, '
-        '"gamma": 3.4800710845036194e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061343e-06, '
+        '"n_tot_budget": 703, "expected_pairs": 76.84246740177285, '
+        '"eps_fail": 4.507532080047995e-06, "eps_E": 9.094580901109338e-06, '
+        '"t_robust_ent": 0.00024009306274727258, "t_C": 0.00024295691841214948, '
+        '"gamma": 3.480071084503609e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("ion-depolarizing", "level"): (
-        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.5870488210613475e-06, '
-        '"n_tot_budget": 83, "expected_pairs": 36.46832907448625, '
-        '"eps_fail": 4.24912522748031e-06, "eps_E": 8.836174048541656e-06, '
-        '"t_robust_ent": 0.00011394471204300247, "t_C": 0.00011680856770787939, '
-        '"gamma": 3.454230399246841e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 4, "n_p": 5}, "delta_min": 4.587048821061343e-06, '
+        '"n_tot_budget": 83, "expected_pairs": 36.46832907448624, '
+        '"eps_fail": 4.2491252274802455e-06, "eps_E": 8.836174048541589e-06, '
+        '"t_robust_ent": 0.00011394471204300245, "t_C": 0.00011680856770787936, '
+        '"gamma": 3.454230399246834e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "full"): (
-        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
-        '"n_tot_budget": 43, "expected_pairs": 7.279689205597535, '
-        '"eps_fail": 1.5573806196242555e-06, "eps_E": 3.590441557969941e-06, '
-        '"t_robust_ent": 2.2745272715954562e-05, "t_C": 2.560912838083147e-05, '
-        '"gamma": 2.9296571501896695e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938345685e-06, '
+        '"n_tot_budget": 43, "expected_pairs": 7.279689205597533, '
+        '"eps_fail": 1.5573806196242334e-06, "eps_E": 3.5904415579699186e-06, '
+        '"t_robust_ent": 2.2745272715954555e-05, "t_C": 2.5609128380831463e-05, '
+        '"gamma": 2.929657150189667e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
     ("nv-dephasing", "level"): (
-        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.0330609383456856e-06, '
-        '"n_tot_budget": 12, "expected_pairs": 6.318541196199488, '
-        '"eps_fail": 1.0104295272640828e-06, "eps_E": 3.043490465609768e-06, '
-        '"t_robust_ent": 1.974218110356189e-05, "t_C": 2.2606036768438798e-05, '
-        '"gamma": 2.874962040953652e-05, "p_cnot_raw": 0.15000200000000005}\n'
+        '{"schedule": {"n_b": 0, "n_p": 5}, "delta_min": 2.033060938345685e-06, '
+        '"n_tot_budget": 12, "expected_pairs": 6.3185411961994875, '
+        '"eps_fail": 1.010429527264075e-06, "eps_E": 3.04349046560976e-06, '
+        '"t_robust_ent": 1.9742181103561887e-05, "t_C": 2.2606036768438795e-05, '
+        '"gamma": 2.8749620409536515e-05, "p_cnot_raw": 0.15000200000000005}\n'
     ),
 }
 
@@ -62,8 +62,19 @@ TIMINGS = PhysicalTimings(0.05, 0.2, 10e-9, 10.0, 0.1e-6)
 
 #: md5 of the default `rnp sweep --restart-mode MODE` CSV.
 FROZEN_SWEEP_MD5 = {
-    "full": "f743fe09a65db2529c18411486372bcb",
-    "level": "d0f768e5e0fab0d59d3c313fbeedff5e",
+    "full": "5cc561754c4f3a7ed760edc6cada3efd",
+    "level": "06c74c0588ab5010fbd3c893e6a3ad90",
+}
+
+#: md5 of the p_L, F, n_b, n_p and n_tot_budget columns (header included) of
+#: the default `rnp sweep --restart-mode MODE --noise NOISE` CSV: its
+#: integers apart from its floats, so a change that moves last bits on
+#: purpose cannot hide a schedule or budget change behind a float re-pin.
+FROZEN_SWEEP_INTEGERS_MD5 = {
+    ("full", "depolarizing"): "f71a75c0651a68cb7b133ea99800dbfe",
+    ("full", "dephasing"): "cc4125f916404089f69e81837cdbe128",
+    ("level", "depolarizing"): "789c699013fd3950963ea629670ac689",
+    ("level", "dephasing"): "ad5462e530488c9ca080012ab7974adb",
 }
 
 
@@ -104,6 +115,17 @@ class TestMeasure:
             f"eps_M = {payload['eps_m']!r}",
             f"t_robust_meas = {payload['t_robust_meas_s']!r} s",
         ]
+
+    @pytest.mark.parametrize("m_max", ["515", "-1", "100000"])
+    def test_m_max_out_of_range_exits_2(self, capsys, m_max):
+        # 515 repetitions would overflow the vote's binomial tail.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["measure", "--m-max", m_max])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        rule = f"--m-max must lie in [0, 514], got {m_max}"
+        assert err.splitlines()[-1] == f"rnp measure: error: argument --m-max: {rule}"
+        assert "Traceback" not in err
 
     def test_no_majority_vote_exits_3(self, capsys):
         # Each flag is a valid probability, but their sum leaves no vote.
@@ -476,23 +498,22 @@ class TestSweep:
     @pytest.mark.parametrize("f_points", ["1", "4", "10"])
     @pytest.mark.parametrize("p_l_points", [1, 3])
     def test_one_search_per_p_l_column(self, capsys, monkeypatch, p_l_points, f_points):
-        # One kernel call per step of each p_L value's box, whatever the
-        # number of F values: (4, 6) at p_L 1e-6 and 3.2e-5, (3, 3) at 1e-3.
+        # One map application per step of each p_L value's bound-6 grid,
+        # whatever the number of F values.
         calls = []
-        real = pumping._step_rows
+        real = pumping._pump
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return real(*args)
+        def counting(start, op, steps):
+            calls.extend([start[0].size] * steps)
+            return real(start, op, steps)
 
-        monkeypatch.setattr(pumping, "_step_rows", counting)
+        monkeypatch.setattr(pumping, "_pump", counting)
         argv = ["sweep", "--p-l-points", str(p_l_points), "--f-points", f_points, "--bound", "6"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert len(out.splitlines()) == 1 + p_l_points * int(f_points)
         n_f = int(f_points)
-        column = [n_f] * 4 + [5 * n_f] * 6
-        assert calls == (column if p_l_points == 1 else column * 2 + [n_f] * 3 + [4 * n_f] * 3)
+        assert calls == ([n_f] * 6 + [7 * n_f] * 6) * p_l_points
 
     @pytest.mark.parametrize("mode", ["full", "level"])
     def test_one_search_call_per_sweep(self, capsys, monkeypatch, mode):
@@ -516,24 +537,24 @@ class TestSweep:
         ]
         assert flips == [optimal_m(p, timings=TIMINGS).error_prob for p in rows]
 
-    def test_repeated_p_l_shares_kernel_calls(self, capsys, monkeypatch):
-        # Two equal p_L points are one run of rows: one kernel call per step
-        # of the (4, 5) box for all four rows, each row still the plan of
-        # its point.
+    def test_repeated_p_l_shares_map_applications(self, capsys, monkeypatch):
+        # Two equal p_L points are one run of rows: one map application per
+        # step of the bound-15 grid for all four rows, each row still the
+        # plan of its point.
         calls = []
-        real = pumping._step_rows
+        real = pumping._pump
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return real(*args)
+        def counting(start, op, steps):
+            calls.extend([start[0].size] * steps)
+            return real(start, op, steps)
 
-        monkeypatch.setattr(pumping, "_step_rows", counting)
+        monkeypatch.setattr(pumping, "_pump", counting)
         argv = ["sweep", "--p-l-min", "1e-4", "--p-l-max", "1e-4", "--p-l-points", "2", "--f-points", "2"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 4 and rows[:2] == rows[2:]
-        assert calls == [4] * 4 + [20] * 5
+        assert calls == [4] * 15 + [64] * 15
         for row, f in zip(rows, (0.9, 0.99)):
             r = plan(ErrorParams(p_local=1e-4, p_init=0.05, p_meas=0.05, fidelity=f), TIMINGS)
             assert row.split(",")[3:] == [
@@ -580,7 +601,7 @@ class TestSweep:
         assert run_cli(capsys, argv) == (
             3,
             "",
-            "budget search failed: no budget up to 1000000 reaches failure probability 1.6525763058411588e-05\n",
+            "budget search failed: no budget up to 1000000 reaches failure probability 1.652576305841158e-05\n",
         )
 
     def test_invalid_row_ends_the_sweep(self, capsys):
@@ -618,7 +639,7 @@ class TestSweep:
         assert run_cli(capsys, argv) == (
             3,
             "",
-            "budget search failed: no budget up to 1000000 reaches failure probability 1.0558720064088672e-05\n",
+            "budget search failed: no budget up to 1000000 reaches failure probability 1.0558720064088658e-05\n",
         )
 
     def test_unwritable_path_exits_4(self, capsys):
@@ -698,6 +719,13 @@ class TestFrozenOutputs:
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--restart-mode", mode, "--out", str(out)]) == 0
         assert hashlib.md5(out.read_bytes()).hexdigest() == FROZEN_SWEEP_MD5[mode]
+
+    @pytest.mark.parametrize("mode,noise", sorted(FROZEN_SWEEP_INTEGERS_MD5))
+    def test_default_sweep_schedules_and_budgets(self, capsys, mode, noise):
+        code, out, _ = run_cli(capsys, ["sweep", "--restart-mode", mode, "--noise", noise])
+        assert code == 0
+        columns = "".join(",".join(line.split(",")[i] for i in (0, 1, 3, 4, 8)) + "\n" for line in out.splitlines())
+        assert hashlib.md5(columns.encode()).hexdigest() == FROZEN_SWEEP_INTEGERS_MD5[mode, noise]
 
 
 class TestSharedParser:

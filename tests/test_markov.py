@@ -133,13 +133,13 @@ def trace_from_probs(bit_succ, phase_succ):
     )
 
 
-def counting_kernel(calls):
-    """pumping._step_rows, appending each call's row count to ``calls``."""
-    real = pumping._step_rows
+def counting_maps(calls):
+    """pumping._pump, appending the row count of each map application to ``calls``."""
+    real = pumping._pump
 
-    def counting(keepers, *args):
-        calls.append(len(keepers))
-        return real(keepers, *args)
+    def counting(start, op, steps):
+        calls.extend([start[0].size] * steps)
+        return real(start, op, steps)
 
     return counting
 
@@ -194,11 +194,11 @@ class TestBuildChain:
 
 #: (n_b, n_p, mode, F, budget, failure probability) pinned bit for bit.
 PINNED = [
-    (2, 2, RestartMode.FULL, 0.90, 57, 0.00986513198043425),
-    (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879255),
-    (4, 5, RestartMode.FULL, 0.95, 300, 0.006465558487531565),
-    (4, 5, RestartMode.LEVEL, 0.90, 57, 0.10836701591526329),
-    (0, 4, RestartMode.FULL, 0.90, 57, 2.283830576317882e-09),
+    (2, 2, RestartMode.FULL, 0.90, 57, 0.009865131980434205),
+    (2, 2, RestartMode.LEVEL, 0.95, 20, 0.0014009572976879212),
+    (4, 5, RestartMode.FULL, 0.95, 300, 0.006465558487531522),
+    (4, 5, RestartMode.LEVEL, 0.90, 57, 0.10836701591526267),
+    (0, 4, RestartMode.FULL, 0.90, 57, 2.28383057631781e-09),
     # The exact value is ~3e-352, below the smallest subnormal.
     (0, 4, RestartMode.LEVEL, 0.95, 300, 0.0),
 ]
@@ -408,68 +408,53 @@ def prefix_sharing_search(params, meas_flip, bound):
     return best
 
 
-def per_row_search(params, meas_flip, bound):
-    """The one-row batched search the column search replaced, kept as its
-    reference: ``bound`` bit steps on one raw pair, then ``bound`` phase
-    steps on the rows of every n_b at once."""
-    base = pumping.raw_pair(params)
-    rates = (params.p_local, meas_flip)
-    bit_steps = []
-    purified = [np.array([base.as_tuple()])]
-    for _ in range(0 if params.noise is NoiseKind.DEPHASING else bound):
-        bit_steps.append(pumping._step_rows(purified[-1], purified[0], StepKind.BIT, *rates))
-        purified.append(pumping._stored_rows(bit_steps[-1][1]))
-    keepers = [np.concatenate(purified)]
-    phase_steps = []
-    for _ in range(bound):
-        phase_steps.append(pumping._step_rows(keepers[-1], keepers[0], StepKind.PHASE, *rates))
-        keepers.append(pumping._stored_rows(phase_steps[-1][1]))
+def step_route_gamma(bound):
+    """Relative rounding bound on every infidelity the search ranks, up to
+    ``bound`` steps of each kind (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.5).
 
-    pops = np.array(keepers)
-    errors = (pops[..., 1] + pops[..., 2]) + pops[..., 3]
-    n_p, n_b = min(zip(*np.nonzero(errors == errors.min())), key=lambda c: (c[0] + c[1], c[0]))
-    path = [(StepKind.BIT, s[0], k[0]) for s, k in bit_steps[:n_b]]
-    path += [(StepKind.PHASE, s[n_b], k[n_b]) for s, k in phase_steps[:n_p]]
-    steps = []
-    state = base
-    for kind, success, accepted in path:
-        after = BellDiagonalState.from_vector(accepted)
-        steps.append(StepRecord(kind, state, min(float(success), 1.0), after))
-        state = after
-    return PumpTrace(PumpSchedule(int(n_b), int(n_p)), tuple(steps), state, state.infidelity)
+    A value "carries k" when it is exact times (1 + theta), |theta| <= gamma_k
+    = k*u / (1 - k*u), u = 2^-53.  Every operand is nonnegative, so a product
+    or quotient of values carrying j and k carries j + k + 1, and a sum of n
+    terms carrying at most k carries k + n - 1 in any order.  Counts are up
+    to a common positive scale per keeper, which an infidelity (a ratio of
+    sums of one keeper's components) cancels.  The exact reference rounds
+    nothing: it starts from the same float F, p_local and meas_flip.
 
+    - Raw pair: (1 - F)/3 rounds once (1 - F is exact for F >= 1/2), and
+      BellDiagonalState's division once: it carries 2.
+    - Map entry (``pumping._operators``) from a fresh pair carrying f: the
+      readout weights carry 3 (2*eps*(1-eps) twice, 1 - that once, which
+      at most doubles an error as it is at least 1/2); the a^2 w fresh term
+      carries 7 + f (a*a, *w, *fresh, and a sum of its two nonzero terms);
+      the c*(1+a) w sum(fresh) term 17 + f (c 1, 1 + a 4 as 1 + a >= 14/15,
+      their product 1, sum(fresh) 3 + f, sum(w) 6, two products); their sum
+      one more.  a = 1 - 16w/15 cancels near w = 15/16, but its error
+      u*(16w/15 + |a|) moves a^2 by at most 4.2u of a^2 + c*(1+a), which
+      bounds the entry: 5 more.  So an entry carries at most 24 + f.
+    - Step (``pumping._pump``): keeper @ T adds 4 (a product, a 4-term sum),
+      the division by the success 1 (a common scale, so only its rounding
+      counts), BellDiagonalState's division 1: 30 + f on top of the keeper.
+    - Bit level b carries K_b = 2 + 32 b; phase level p over bit level b
+      carries K(b, p) = K_b + p (30 + K_b).  An infidelity (s1 + s2) + s3
+      of a stored keeper carries 2 K + 6: K + 2 in the sum, K for the
+      keeper's own scale, and 4 for its components' sum, which is 1 only
+      up to its two roundings per component and a 3-addition sum.
 
-def full_box_search(rows, meas_flip, bound):
-    """The search before its linear pre-pass, kept as its reference: each
-    slice of a run of rows that share the rates steps every schedule up to
-    ``bound`` and ranks them with ``search_schedule``'s tie-break."""
-    flips = np.broadcast_to(np.asarray(meas_flip, dtype=np.float64), len(rows)).tolist()
-    n_b_max = 0 if rows and rows[0].noise is NoiseKind.DEPHASING else bound
-    traces = []
-    for rates, run in groupby(zip(rows, flips), key=lambda row: (row[0].p_local, row[1])):
-        run = [p for p, _ in run]
-        for lo in range(0, len(run), pumping.SEARCH_SLICE):
-            bases = [pumping.raw_pair(p) for p in run[lo : lo + pumping.SEARCH_SLICE]]
-            n = len(bases)
-            (bit_s, bit_k), (phase_s, phase_k), keepers = pumping._two_level_rows(
-                np.array([b.as_tuple() for b in bases]), n_b_max, bound, *rates
-            )
-            errors = ((keepers[..., 1] + keepers[..., 2]) + keepers[..., 3]).reshape(bound + 1, n_b_max + 1, n)
-            p_steps, b_steps = np.indices(errors.shape[:2])
-            rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]
-            rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
-            winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
-            for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-                path = [(StepKind.BIT, bit_s[j, i], bit_k[j, i]) for j in range(n_b)]
-                path += [(StepKind.PHASE, phase_s[j, n_b * n + i], phase_k[j, n_b * n + i]) for j in range(n_p)]
-                traces.append(pumping._trace(base, path))
-    return traces
-
-
-def documented_gamma(bound):
-    """gamma_m of ``pumping._schedule_box``'s error bound at ``bound``."""
-    m = 52 * (2 * bound + bound * bound) + 8
+    If every ranked value E lies within gamma of its exact x, the winner w
+    and the exact least s0 satisfy (1 - gamma) x(w) <= E(w) <= E(s0) <=
+    (1 + gamma) x(s0).
+    """
+    k_bit = 2 + 32 * bound
+    m = 2 * (k_bit + bound * (30 + k_bit)) + 6
     return m * 2.0**-53 / (1 - m * 2.0**-53)
+
+
+#: Absolute slack below the normal range, where rounding stops being
+#: relative: each of a step's ~40 products may lose up to 2^-1075, and a step
+#: divides by a success of at least ~1/4, so 16 steps lose far less than
+#: 2^-1022 (~2^-1036).
+UNDERFLOW = 2.0**-1022
 
 
 def searched(p, meas_flip, bound=15):
@@ -531,42 +516,29 @@ class TestOptimizeSchedule:
         assert (trace.schedule, trace.infidelity) == (PumpSchedule(24, 26), 0.0)
         assert trace == prefix_sharing_search(p, 0.0, 26)
 
-    @pytest.mark.parametrize(
-        "noise,n_f,box",
-        [
-            (NoiseKind.DEPOLARIZING, 1, (5, 9)),
-            (NoiseKind.DEPOLARIZING, 2, (5, 9)),
-            (NoiseKind.DEPOLARIZING, 10, (5, 9)),
-            (NoiseKind.DEPOLARIZING, pumping.SEARCH_SLICE, (5, 9)),
-            (NoiseKind.DEPHASING, 1, (0, 6)),
-            (NoiseKind.DEPHASING, 2, (0, 6)),
-            (NoiseKind.DEPHASING, 10, (0, 6)),
-            (NoiseKind.DEPHASING, pumping.SEARCH_SLICE, (0, 6)),
-        ],
-    )
-    def test_one_pump_step_per_schedule(self, monkeypatch, noise, n_f, box):
-        # One row step per schedule of the pre-pass's box but (0, 0) and per
-        # F, batched into kernel calls: n_b bit steps on the column's raw
-        # pairs, then n_p phase steps on every (n_b, F) row at once.  The box
-        # is the winners' (F = 0.9 needs the deepest schedule), not 15 x 15.
-        # Dephased pairs keep n_b = 0.  The kernel is looked up through
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    @pytest.mark.parametrize("n_f", [1, 2, 10, pumping.SEARCH_SLICE])
+    def test_one_map_application_per_step(self, monkeypatch, noise, n_f):
+        # Every schedule of the grid, batched: 15 bit steps on the column's
+        # raw pairs, then 15 phase steps on every (n_b, F) row at once.
+        # Dephased pairs keep n_b = 0.  The maps are applied through
         # rnp.pumping.
         batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
         traces = search_schedule(column(np.linspace(0.9, 0.99, n_f), noise=noise), 1.2e-5, bound=15)
-        n_b, n_p = box
-        assert (traces[0].schedule.n_b, traces[0].schedule.n_p) == box
-        assert batches == [n_f] * n_b + [(n_b + 1) * n_f] * n_p
+        n_b = 0 if noise is NoiseKind.DEPHASING else 15
+        assert traces[0].schedule == (PumpSchedule(0, 6) if n_b == 0 else PumpSchedule(5, 9))
+        assert batches == [n_f] * n_b + [(n_b + 1) * n_f] * 15
 
     def test_long_column_is_searched_in_slices(self, monkeypatch):
-        # 64 + 64 + 3 rows; each slice steps its own box.
+        # 64 + 64 + 3 rows; each slice steps its own grid.
         batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
         n_f = 2 * pumping.SEARCH_SLICE + 3
         search_schedule(column(np.linspace(0.9, 0.99, n_f)), 1.2e-5, bound=15)
-        assert batches == [64] * 5 + [384] * 9 + [64] * 4 + [320] * 6 + [3] * 3 + [12] * 3
+        assert batches == ([64] * 15 + [1024] * 15) * 2 + [3] * 15 + [48] * 15
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         rows=st.lists(
             st.tuples(
@@ -578,98 +550,56 @@ class TestOptimizeSchedule:
                 st.sampled_from([0.0, 1.2e-5, 1e-2, 0.5, 1.0]),
             ),
             min_size=1,
-            max_size=8,
+            max_size=6,
         ),
         noise=st.sampled_from(list(NoiseKind)),
-        bound=st.integers(min_value=0, max_value=15),
+        bound=st.integers(min_value=0, max_value=8),
     )
-    def test_box_search_is_full_box_search(self, rows, noise, bound):
-        # The pre-pass only shrinks what is stepped: every trace is the one
-        # the full box gives, at the edges of each rate too.
+    def test_edge_rows_match_prefix_sharing_search(self, rows, noise, bound):
+        # Every rate at its edges, p_local above 15/16 (a < 0) included: each
+        # row of a mixed search is the per-step search of its own point.
         points = [column([f], p_l, noise)[0] for f, p_l, _ in rows]
         flips = [flip for *_, flip in rows]
-        assert search_schedule(points, flips, bound) == full_box_search(points, flips, bound)
+        traces = search_schedule(points, flips, bound)
+        assert traces == [prefix_sharing_search(p, flip, bound) for p, flip in zip(points, flips)]
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
-        f=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
-        p_l=st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.9]),
-        eps_m=st.sampled_from([0.0, 1.2e-5, 0.01, 0.5]),
+        f=st.one_of(
+            st.sampled_from([1 - 1e-13, 0.5 + 1e-15]), st.floats(min_value=0.5, max_value=1.0, exclude_min=True)
+        ),
+        # Drawn rates stay above 1e-9: a tinier float's exact value has a
+        # ~1,000-bit denominator, which the exact levels compound step by step.
+        p_l=st.one_of(st.sampled_from([0.0, 1e-300, 15 / 16, 1.0]), st.floats(min_value=1e-9, max_value=1.0)),
+        eps_m=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=1e-9, max_value=1.0)),
         noise=st.sampled_from(list(NoiseKind)),
-        bound=st.integers(min_value=1, max_value=5),
+        bound=st.integers(min_value=0, max_value=8),
     )
-    def test_estimates_and_engine_are_within_the_documented_bound(self, f, p_l, eps_m, noise, bound):
-        # Both routes against the exact rational infidelity of every schedule.
+    def test_winner_is_the_exact_minimum(self, f, p_l, eps_m, noise, bound):
+        # The winner's exact infidelity is the least of the grid, or within
+        # what rounding allows (``step_route_gamma``).
         p = column([f], p_l, noise)[0]
-        n_b_max = 0 if noise is NoiseKind.DEPHASING else bound
-        estimates = pumping._schedule_estimates(
-            np.array([pumping.raw_pair(p).as_tuple()]), n_b_max, bound, p_l, eps_m
-        )
-        assume(estimates is not None)  # F within ~1e-12 of 1: the fallback tests cover it
-        worst = 0.0
-        for n_b in range(n_b_max + 1):
+        (trace,) = search_schedule([p], eps_m, bound)
+        exact_grid = {}
+        for n_b in range(0 if noise is NoiseKind.DEPHASING else bound, -1, -1):
             steps = exact.run_two_level(PumpSchedule(n_b, bound), p, eps_m)
             levels = [exact.raw_pair(f, noise)] + [populations for *_, populations in steps]
-            for n_p in range(bound + 1):
-                want = exact.infidelity(levels[n_b + n_p])
-                engine = run_two_level(PumpSchedule(n_b, n_p), p, eps_m).infidelity
-                worst = max(worst, relative_error(estimates[n_p, n_b, 0], want), relative_error(engine, want))
-        assert worst <= documented_gamma(bound)
-
-    def test_documented_bound_fits_the_margin(self):
-        # ((1 + g) / (1 - g))^2 - 1 = 4 g / (1 - g)^2 at the largest bound.
-        g = documented_gamma(pumping.MAX_BOUND)
-        assert g < 2.5e-11
-        assert 4 * g / (1 - g) ** 2 < 1e-10 < pumping.BOX_MARGIN
-
-    @pytest.mark.parametrize("fs,p_l,eps_m", [(np.linspace(0.9, 0.99, 10), 1e-6, 1.2e-5), ([1.0], 0.0, 0.0)])
-    def test_infinite_margin_steps_the_full_box(self, monkeypatch, fs, p_l, eps_m):
-        # The box of an infinite margin is the full one, also where the
-        # least estimate is 0, and it picks the same traces.
-        rows = column(fs, p_l)
-        boxed = search_schedule(rows, eps_m)
-        monkeypatch.setattr(pumping, "BOX_MARGIN", math.inf)
-        batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        with np.errstate(invalid="ignore"):  # 0 * inf
-            assert search_schedule(rows, eps_m) == boxed
-        assert len(batches) == 30
-
-    @pytest.mark.parametrize(
-        "f,p_l,eps_m,bound",
-        [
-            (0.9, 0.95, 1.2e-5, 15),  # p_local > 15/16: a < 0, the maps take signs
-            (0.9, 1e-300, 1.2e-5, 15),  # c = p_local/15 below 2^-200
-            (1 - 1e-13, 0.0, 0.0, 26),  # deep levels below 2^-200; the engine ties them at 0.0
-        ],
-    )
-    def test_fallbacks_step_the_full_box(self, monkeypatch, f, p_l, eps_m, bound):
-        rows = column([f, 0.95], p_l)
-        bases = np.array([pumping.raw_pair(p).as_tuple() for p in rows])
-        assert pumping._schedule_estimates(bases, bound, bound, p_l, eps_m) is None
-        batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
-        traces = search_schedule(rows, eps_m, bound)
-        assert len(batches) == 2 * bound
-        monkeypatch.undo()
-        assert traces == full_box_search(rows, eps_m, bound)
-
-    def test_non_finite_rows_step_the_full_box(self):
-        # No valid row is non-finite; the guard still holds on its own.
-        bases = np.array([[np.nan, 0.0, 0.0, 0.0], [0.9, 0.1, 0.0, 0.0]])
-        assert pumping._schedule_estimates(bases, 3, 4, 1e-6, 1.2e-5) is None
-        assert pumping._schedule_box(bases, 3, 4, 1e-6, 1.2e-5) == (3, 4)
+            exact_grid.update({(n_b, n_p): exact.infidelity(levels[n_b + n_p]) for n_p in range(bound + 1)})
+        least = min(exact_grid.values())
+        got = exact_grid[trace.schedule.n_b, trace.schedule.n_p]
+        g = step_route_gamma(bound)
+        assert got == least or got <= least * (1 + g) / (1 - g) + UNDERFLOW
 
     def test_empty_column(self, monkeypatch):
         batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
         assert search_schedule([], 1.2e-5) == []
         assert batches == []
 
     def test_rows_must_share_noise(self):
         # Rows of several p_local are one search; rows of two noise kinds are not.
         rows = column([0.9]) + column([0.95], p_l=1e-5)
-        assert search_schedule(rows, 1.2e-5) == [per_row_search(p, 1.2e-5, 15) for p in rows]
+        assert search_schedule(rows, 1.2e-5) == [prefix_sharing_search(p, 1.2e-5, 15) for p in rows]
         with pytest.raises(ValidationError, match="search rows must share the noise model"):
             search_schedule(column([0.9]) + column([0.95], noise=NoiseKind.DEPHASING), 1.2e-5)
 
@@ -687,33 +617,32 @@ class TestOptimizeSchedule:
         noise=st.sampled_from(list(NoiseKind)),
         bound=st.integers(min_value=0, max_value=8),
     )
-    def test_mixed_rows_match_per_row_search(self, rows, noise, bound):
+    def test_mixed_rows_match_prefix_sharing_search(self, rows, noise, bound):
         # Few distinct p_local and meas_flip values, so adjacent rows often
-        # share a kernel call and often do not.
+        # share a map application and often do not.
         points = [column([f], p_l, noise)[0] for f, p_l, _ in rows]
         flips = [flip for _, _, flip in rows]
         traces = search_schedule(points, flips, bound)
         assert len(traces) == len(points)
         for p, flip, trace in zip(points, flips, traces, strict=True):
-            assert trace == per_row_search(p, flip, bound)
             assert trace == prefix_sharing_search(p, flip, bound)
         mixed = points + column([0.9], noise=next(k for k in NoiseKind if k is not noise))
         with pytest.raises(ValidationError, match="search rows must share the noise model"):
             search_schedule(mixed, flips + [1.2e-5], bound)
 
-    def test_kernel_calls_follow_runs_of_shared_rates(self, monkeypatch):
-        # Adjacent rows that share p_local and meas_flip share each kernel
-        # call; every change of either starts a new run, which steps its
-        # own box: (5, 9), (4, 5), (5, 7) and (5, 7) here.
+    def test_map_applications_follow_runs_of_shared_rates(self, monkeypatch):
+        # Adjacent rows that share p_local and meas_flip share each map
+        # application; every change of either starts a new run, which steps
+        # its own grid: runs of 2, 1, 1 and 2 rows here.
         batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
         rows = column([0.9, 0.95]) + column([0.9], p_l=1e-4) + column([0.92, 0.93, 0.94])
         search_schedule(rows, [1e-5, 1e-5, 1e-5, 1e-5, 2e-5, 2e-5], bound=15)
-        assert batches == [2] * 5 + [12] * 9 + [1] * 4 + [5] * 5 + [1] * 5 + [6] * 7 + [2] * 5 + [12] * 7
+        assert batches == [2] * 15 + [32] * 15 + ([1] * 15 + [16] * 15) * 2 + [2] * 15 + [32] * 15
 
     @pytest.mark.parametrize("meas_flip", [-1e-9, 1.5, 7.0, float("nan"), float("inf")])
     def test_meas_flip_out_of_range(self, meas_flip):
-        # Checked before any step runs: at bound 0 no kernel call is made.
+        # Checked before any step runs: at bound 0 no map is applied.
         for rows in ([], column([0.9])):
             for bound in (0, 15):
                 with pytest.raises(ValidationError, match="meas_flip"):
@@ -740,12 +669,11 @@ class TestOptimizeSchedule:
         noise=st.sampled_from(list(NoiseKind)),
         bound=st.integers(min_value=0, max_value=8),
     )
-    def test_column_matches_per_row_search(self, fs, p_l, eps_m, noise, bound):
+    def test_column_matches_prefix_sharing_search(self, fs, p_l, eps_m, noise, bound):
         rows = column(fs, p_l, noise)
         traces = search_schedule(rows, eps_m, bound)
         assert len(traces) == len(rows)
         for p, trace in zip(rows, traces, strict=True):
-            assert trace == per_row_search(p, eps_m, bound)
             assert trace == prefix_sharing_search(p, eps_m, bound)
 
     @settings(max_examples=100, deadline=None)
@@ -768,10 +696,10 @@ class TestOptimizeSchedule:
         assert len(search_schedule(rows, meas_flip)) == len(rows)
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
-    def test_column_longer_than_a_slice_matches_per_row_search(self, noise):
+    def test_column_longer_than_a_slice_matches_prefix_sharing_search(self, noise):
         rows = column(np.linspace(0.9, 0.999, pumping.SEARCH_SLICE + 5), 1e-5, noise)
         traces = search_schedule(rows, 1.2e-5)
-        assert traces == [per_row_search(p, 1.2e-5, 15) for p in rows]
+        assert traces == [prefix_sharing_search(p, 1.2e-5, 15) for p in rows]
 
     def test_memory_is_bounded_by_the_slice(self):
         # The arrays of a search peak at ~40 KB per raw pair (its pre-pass),
@@ -912,13 +840,13 @@ class TestPlan:
         assert r.expected_pairs == expected_pairs(chain)
 
     @pytest.mark.parametrize(
-        "preset,calls", [("ion-depolarizing", [1] * 4 + [5] * 5), ("nv-dephasing", [1] * 5)]
+        "preset,calls", [("ion-depolarizing", [1] * 15 + [16] * 15), ("nv-dephasing", [1] * 15)]
     )
     def test_plan_reuses_search_trace(self, monkeypatch, capsys, preset, calls):
-        # Only the search's kernel calls, one per step of the winning (4, 5)
-        # or (0, 5) box: the chosen schedule is not traced again.
+        # Only the search's map applications, one per step of the bound-15
+        # grid: the chosen schedule is not traced again.
         batches = []
-        monkeypatch.setattr(pumping, "_step_rows", counting_kernel(batches))
+        monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
         assert cli.main(["plan", "--preset", preset]) == 0
         capsys.readouterr()
         assert batches == calls

@@ -93,6 +93,17 @@ class TestOptimalM:
         assert mp.m == 0
         assert mp.error_prob == 0.0
 
+    @pytest.mark.parametrize("m_max", [measurement.MAX_M + 1, 10**4, -1, 2.0, True])
+    def test_m_max_out_of_range(self, m_max):
+        # Above 514 the tail's binomial coefficients overflow a float.
+        with pytest.raises(ValidationError, match=r"^m_max must be an integer in \[0, 514\], got "):
+            optimal_m(params(p_l=1e-6), m_max=m_max)
+
+    def test_largest_m_has_a_finite_tail(self):
+        assert 0.0 < exact_vote_error(measurement.MAX_M, params(p_l=1e-6)) < 1.0
+        with pytest.raises(OverflowError):
+            exact_vote_error(measurement.MAX_M + 1, params(p_l=1e-6))
+
     def test_duration_attached_with_timings(self):
         mp = optimal_m(params(p_l=1e-6), timings=ION_TIMINGS)
         assert mp.duration_s == pytest.approx(measurement_time(mp.m, ION_TIMINGS))

@@ -21,7 +21,7 @@ from rnp import (
     run_standard,
     run_two_level,
 )
-from rnp.pumping import _depolarize_twice, _step_rows, _stored_rows
+from rnp.pumping import _operators, _pump
 
 
 def params(f=0.95, p_l=0.0, noise=NoiseKind.DEPOLARIZING):
@@ -57,19 +57,49 @@ def loop_noise_matrix(weight):
     return mat
 
 
+def loop_operator(fresh, kind, weight, meas_flip):
+    """Reference map of one step on the keeper: row i is keeper Bell state i
+    against ``fresh``, through the flag CNOT (``exact``), both registers'
+    loop-built noise matrices and the readout weights, marginalised onto the
+    keeper's new Bell index."""
+    mat = loop_noise_matrix(weight)
+    comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
+    parity_bit = 2 if kind is StepKind.BIT else 1
+    op = np.zeros((4, 4))
+    for i in range(4):
+        dist = np.zeros(16)
+        for j in range(4):
+            dist[exact._flags_after_cnot(kind, 4 * i + j)] = fresh[j]
+        dist = mat @ mat @ dist
+        dist *= [comp_flip if flags & parity_bit else 1.0 - comp_flip for flags in range(16)]
+        op[i] = dist.reshape(4, 4).sum(axis=1)
+    return op
+
+
 class TestNoiseMatrix:
-    @pytest.mark.parametrize("weight", [0.0, 1e-300, 1e-6, 0.3, 1.0])
-    def test_closed_form_matches_loop_reference(self, weight):
-        # Two hits of the closed form against the loop-built matrix applied
-        # twice, on 2,000 random flag distributions with some zero entries.
+    @pytest.mark.parametrize("weight", [0.0, 1e-300, 1e-6, 0.3, 15 / 16, 0.95, 1.0])
+    @pytest.mark.parametrize("meas_flip", [0.0, 1e-5, 0.5])
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_closed_form_matches_loop_reference(self, weight, meas_flip, kind):
+        # The closed-form map against the loop-built noise matrices applied
+        # twice, on 200 random fresh pairs with some zero entries.
         rng = np.random.default_rng(11)
-        v = rng.random((2000, 16)) * (rng.random((2000, 16)) < 0.8)
-        mat = loop_noise_matrix(weight)
-        want = (mat @ mat @ v.T).T
-        got = _depolarize_twice(v, weight)
+        fresh = rng.random((200, 4)) * (rng.random((200, 4)) < 0.8)
+        got = _operators(fresh.T, kind, weight, meas_flip)
+        want = np.array([loop_operator(f, kind, weight, meas_flip) for f in fresh]).transpose(1, 2, 0)
         nonzero = want != 0.0
         assert np.array_equal(got[~nonzero], want[~nonzero])
         assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 4e-15
+
+    @pytest.mark.parametrize("weight", [0.0, 15 / 16, 0.95, 1.0])
+    @pytest.mark.parametrize("meas_flip", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_map_is_nonnegative(self, weight, meas_flip, kind):
+        # a = 1 - 16*weight/15 turns negative above 15/16, but the map holds
+        # a^2 and 1 + a only, so no entry is negative at any gate error.
+        rng = np.random.default_rng(5)
+        fresh = rng.random((200, 4)) * (rng.random((200, 4)) < 0.8)
+        assert (_operators(fresh.T, kind, weight, meas_flip) >= 0.0).all()
 
 
 class TestPumpStep:
@@ -263,7 +293,7 @@ class TestRatesAreChecked:
         assert run_standard(2, params(0.9), rate).schedule == PumpSchedule(1, 1)
 
 
-class TestStepKernel:
+class TestStepMaps:
     @settings(max_examples=100, deadline=None)
     @given(
         rows=st.lists(st.tuples(bell_states, bell_states), min_size=1, max_size=17),
@@ -273,26 +303,27 @@ class TestStepKernel:
     )
     def test_each_row_is_pump_step(self, rows, kind, p_l, eps_m):
         # Bitwise, whatever the batch around the row.
-        keepers, fresh = (np.array([s.as_tuple() for s in col]) for col in zip(*rows))
+        keepers, fresh = (np.array([s.as_tuple() for s in col]).T for col in zip(*rows))
         try:
             recs = [pump_step(k, f, kind, p_l, eps_m) for k, f in rows]
         except ValidationError:
             with pytest.raises(ValidationError):
-                _step_rows(keepers, fresh, kind, p_l, eps_m)
+                _pump(keepers, _operators(fresh, kind, p_l, eps_m), 1)
             return
-        success, after = _step_rows(keepers, fresh, kind, p_l, eps_m)
-        assert np.array_equal(np.minimum(success, 1.0), [r.success_prob for r in recs])
-        assert np.array_equal(_stored_rows(after), [r.state_after_success.as_tuple() for r in recs])
+        success, accepted, stored = _pump(keepers, _operators(fresh, kind, p_l, eps_m), 1)
+        assert np.array_equal(np.minimum(success[0], 1.0), [r.success_prob for r in recs])
+        assert np.array_equal(stored[1].T, [r.state_after_success.as_tuple() for r in recs])
+        assert [BellDiagonalState.from_vector(a) for a in accepted[0].T] == [r.state_after_success for r in recs]
 
     def test_one_zero_acceptance_row_raises(self):
         # A bit-flipped keeper against a perfect fresh pair always reads odd
         # parity; the first row alone is an ordinary step.
         good = raw_pair(params(0.9)).as_tuple()
-        keepers = np.array([good, (0.0, 0.0, 1.0, 0.0)])
-        fresh = np.array([good, PERFECT.as_tuple()])
-        _step_rows(keepers[:1], fresh[:1], StepKind.BIT, 0.0, 0.0)
+        keepers = np.array([good, (0.0, 0.0, 1.0, 0.0)]).T
+        ops = _operators(np.array([good, PERFECT.as_tuple()]).T, StepKind.BIT, 0.0, 0.0)
+        _pump(keepers[:, :1], ops[..., :1], 1)
         with pytest.raises(ValidationError, match="zero acceptance"):
-            _step_rows(keepers, fresh, StepKind.BIT, 0.0, 0.0)
+            _pump(keepers, ops, 1)
 
 
 def loop_two_level(schedule, params, meas_flip):

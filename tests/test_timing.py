@@ -2,6 +2,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,6 +258,20 @@ class TestPhysicalTimings:
         with pytest.raises(ValidationError) as new:
             timings(**inputs)
         assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("field", ["p_meas", "eta", "tau", "purcell_c", "t_local", "t_mem"])
+    @pytest.mark.parametrize("bad", ["0.5", True, False])
+    def test_rejects_text_and_bools(self, field, bad):
+        # float() would take both; the fields must hold checked numbers.
+        with pytest.raises(ValidationError, match=f"^{field} must be a number, got {bad!r}$"):
+            timings(**{field: bad})
+
+    def test_stores_the_checked_floats(self):
+        t = timings(p_meas=np.float32(0.5), eta=np.float64(0.2), tau=1, purcell_c=np.int64(10), t_local=1, t_mem=2)
+        fields = (t.p_meas, t.eta, t.tau, t.purcell_c, t.t_local, t.t_mem)
+        assert [type(v) for v in fields] == [float] * 6
+        assert fields == (0.5, 0.2, 1.0, 10.0, 1.0, 2.0)
+        assert timings().t_mem is None
 
     @pytest.mark.parametrize("tau", [0.0, -1e-9, math.inf, math.nan])
     def test_bad_tau_message_names_finiteness(self, tau):
