@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_error_flags(p_pump, readout=False)
     p_pump.add_argument("--f", type=_prob("--f"), default=0.95, help="raw pair fidelity")
     p_pump.add_argument("--noise", type=_noise_kind, default=NoiseKind.DEPOLARIZING)
-    p_pump.add_argument("--n-b", type=_nonneg_int("--n-b"), default=None, help="bit steps (default 2)")
-    p_pump.add_argument("--n-p", type=_nonneg_int("--n-p"), default=None, help="phase steps (default 2)")
+    p_pump.add_argument("--n-b", type=_bound("--n-b"), default=None, help="bit steps (default 2)")
+    p_pump.add_argument("--n-p", type=_bound("--n-p"), default=None, help="phase steps (default 2)")
     p_pump.add_argument("--eps-m", type=_prob("--eps-m"), default=0.0, help="voted readout error")
     p_pump.add_argument(
         "--standard-steps",

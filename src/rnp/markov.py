@@ -26,6 +26,7 @@ from .model import (
     RestartMode,
     UselessLinkError,
     ValidationError,
+    _check_int,
 )
 from .pumping import PumpTrace, StepKind, search_schedule
 from .timing import PhysicalTimings
@@ -174,9 +175,7 @@ def _mass(chain: MarkovChain, n: int) -> float:
 
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
-    if budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget!r}")
-    return _clamp_probability(_mass(chain, int(budget)))
+    return _clamp_probability(_mass(chain, _check_int("budget", budget, 0, math.inf)))
 
 
 def expected_pairs(chain: MarkovChain) -> float:

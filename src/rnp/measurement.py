@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ErrorParams, MeasurementPlan, ValidationError
+from .model import ErrorParams, MeasurementPlan, ValidationError, _check_int
 from .timing import PhysicalTimings
 
 __all__ = ["measurement_error", "exact_vote_error", "measurement_time", "optimal_m", "MAX_M"]
@@ -86,8 +86,7 @@ def optimal_m(
     toward smaller m (shorter readout).  When timings are given the plan
     also carries the readout duration.
     """
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or not 0 <= m_max <= MAX_M:
-        raise ValidationError(f"m_max must be an integer in [0, {MAX_M}], got {m_max!r}")
+    m_max = _check_int("m_max", m_max, 0, MAX_M)
     best_m = 0
     best_eps = exact_vote_error(0, params)
     for m in range(1, m_max + 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -25,10 +26,14 @@ __all__ = [
     "MeasurementPlan",
     "PlanResult",
     "SUM_TOL",
+    "MAX_STEPS",
 ]
 
 #: Tolerance on probability-vector normalisation (see BellDiagonalState).
 SUM_TOL = 1e-12
+
+#: Most steps of either kind a PumpSchedule holds.
+MAX_STEPS = 64
 
 
 class ValidationError(ValueError):
@@ -77,6 +82,14 @@ def _check_number(name: str, value: float) -> float:
     if isinstance(value, (str, bytes, bool)):  # float() would take "0.95" and True
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_int(name: str, value: int, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi]; Python and NumPy integers pass, and
+    bool, float and str do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -190,13 +203,8 @@ class PumpSchedule:
     n_p: int
 
     def __post_init__(self) -> None:
-        for name, v in (("n_b", self.n_b), ("n_p", self.n_p)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-            if v < 0:
-                raise ValidationError(f"{name} must be nonnegative, got {v!r}")
-            if v > 64:
-                raise ValidationError(f"{name} unreasonably large ({v!r}); cap is 64")
+        for name in ("n_b", "n_p"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 0, MAX_STEPS))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BellDiagonalState, RestartMode, StepKind, ValidationError
+from .model import BellDiagonalState, RestartMode, StepKind, ValidationError, _check_int
 from .pumping import PumpTrace
 
 __all__ = [
@@ -475,8 +475,7 @@ def monte_carlo_pumping(
     as failed (consumed > budget).
     """
     # A trial id is one 32-bit counter word, and the seed the two key words.
-    if not 1 <= trials <= 2**32:
-        raise ValidationError(f"trials must lie in [1, 2**32], got {trials!r}")
+    trials = _check_int("trials", trials, 1, 2**32)
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
     if budget < 0:
@@ -489,7 +488,7 @@ def monte_carlo_pumping(
     )
 
     full = restart_mode is RestartMode.FULL
-    consumed = mc_consumed_pairs(bit_succ, phase_succ, full, int(trials), int(seed)).astype(np.float64)
+    consumed = mc_consumed_pairs(bit_succ, phase_succ, full, trials, int(seed)).astype(np.float64)
     fails = consumed > budget
     fail_fraction = float(np.mean(fails))
     mean_pairs = float(np.mean(consumed))

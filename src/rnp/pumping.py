@@ -35,17 +35,18 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .model import (
+    MAX_STEPS,
     BellDiagonalState,
     ErrorParams,
     NoiseKind,
     PumpSchedule,
     StepKind,
     ValidationError,
+    _check_int,
     _check_prob,
 )
 
@@ -62,14 +63,14 @@ __all__ = [
     "closed_form_infidelity",
 ]
 
-#: Raw pairs a schedule search steps at once.  Its arrays (every schedule's
-#: keeper and every phase step's accepted keeper) peak at ~24 KB per raw pair
-#: at bound 15 and ~410 KB at bound 64, so a longer run of rows is searched
-#: slice by slice.
+#: Raw pairs a schedule search steps at once, whatever their rates.  Its
+#: arrays (every schedule's keeper and every phase step's accepted keeper)
+#: peak at ~24 KB per raw pair at bound 15 and ~410 KB at bound 64, so more
+#: rows are searched slice by slice.
 SEARCH_SLICE = 64
 
-#: Largest search bound: a PumpSchedule holds at most 64 steps of each kind.
-MAX_BOUND = 64
+#: Largest search bound: the most steps of each kind a PumpSchedule holds.
+MAX_BOUND = MAX_STEPS
 
 
 def _cnot_gather(kind: StepKind) -> np.ndarray:
@@ -93,25 +94,21 @@ _PARITY = {StepKind.BIT: np.arange(16) >> 1 & 1, StepKind.PHASE: np.arange(16) &
 _KEEPER_HOT = {kind: (_GATHER[kind] >> 2).reshape(4, 4) == np.arange(4)[:, None, None] for kind in StepKind}
 
 
-def _acceptance_weights(kind: StepKind, meas_flip: float) -> np.ndarray:
-    """Weight of each new flag index: each compared readout flips with
-    probability meas_flip, so the comparison flips with 2*eps*(1-eps)."""
-    comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
-    return np.where(_PARITY[kind] == 0, 1.0 - comp_flip, comp_flip)
-
-
 def _left_sum(x: np.ndarray) -> np.ndarray:
     """x[0] + x[1] + x[2] + x[3] over the leading axis, left to right, as
     BellDiagonalState sums its components."""
     return ((x[0] + x[1]) + x[2]) + x[3]
 
 
-def _operators(fresh: np.ndarray, kind: StepKind, p_local: float, meas_flip: float) -> np.ndarray:
+def _operators(fresh: np.ndarray, kind: StepKind, p_local, meas_flip) -> np.ndarray:
     """Each fresh pair's step as a 4x4 map T: the accepted keeper weights,
     before their division by the success, are keeper @ T.
 
-    The 16 two-qubit Pauli patterns map one-to-one onto flag-flip masks;
-    identity keeps 1-p_local, the 15 others move p_local/15 each.  So one
+    Each compared readout flips with probability meas_flip, so the
+    comparison flips with 2*eps*(1-eps), and new flag index J weighs w[J]:
+    1 - that when its measured parity is 0, else that.  The 16 two-qubit
+    Pauli patterns map one-to-one onto flag-flip masks; identity keeps
+    1-p_local, the 15 others move p_local/15 each.  So one
     register's hit is (Hv)_J = a*v_J + c*sum(v) with a = 1 - 16*p_local/15
     and c = p_local/15, and H keeps sum(v), so both registers' hits are
     H^2 v = a^2 v + c*(1+a)*sum(v).  The step gathers keeper[i] * fresh[j]
@@ -121,14 +118,16 @@ def _operators(fresh: np.ndarray, kind: StepKind, p_local: float, meas_flip: flo
     products of nonnegative numbers for every p_local in [0, 1]
     (a >= -1/15), and each T[i, i'] gathers two terms or none, so its sum
     has one rounding whatever the order.  Component axes lead: ``fresh`` is
-    [j, ...], T [i, i', ...].
+    [j, ...], T [i, i', ...].  The rates are scalars or arrays that
+    broadcast on fresh's trailing axes; a row's map has its scalar call's bits.
     """
     a, c = 1.0 - 16.0 * p_local / 15.0, p_local / 15.0
-    weights = _acceptance_weights(kind, meas_flip).reshape(4, 4)
+    comp_flip = 2.0 * meas_flip * (1.0 - meas_flip)
     trail = (1,) * (fresh.ndim - 1)
-    gathered = fresh.take(_FRESH_OF[kind], axis=0) * (a * a * weights).reshape(4, 4, *trail)
+    weights = np.where(_PARITY[kind].reshape(4, 4, *trail) == 0, 1.0 - comp_flip, comp_flip)  # [i', j', ...]
+    gathered = fresh.take(_FRESH_OF[kind], axis=0) * (a * a * weights)
     direct = np.add.reduce(_KEEPER_HOT[kind].reshape(4, 4, 4, *trail) * gathered, axis=2)
-    return direct + (c * (1.0 + a)) * _left_sum(fresh) * _left_sum(weights.T).reshape(4, *trail)
+    return direct + (c * (1.0 + a)) * _left_sum(fresh) * _left_sum(weights.swapaxes(0, 1))
 
 
 def _pump(start: np.ndarray, op: np.ndarray, steps: int):
@@ -234,27 +233,42 @@ def pump_step(
     return _trace(target, [(kind, success[0], accepted[0])]).steps[0]
 
 
-def run_two_level(
-    schedule: PumpSchedule,
-    params: ErrorParams,
-    meas_flip: float,
-) -> PumpTrace:
+def _two_level(bases: list[BellDiagonalState], p_local, meas_flip, n_b: int, n_p: int):
+    """Every schedule up to (n_b, n_p) of the raw pairs ``bases``, whose
+    rates are scalars or one per pair (``_operators``).
+
+    Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
+    bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So n_b
+    bit steps on the raw pairs, then n_p phase steps on every bit level at
+    once, each level its own fresh pair, step the whole grid: n_b + n_p map
+    applications.  Returns the keepers, [n_p, component, n_b, row], and
+    ``trace(row, n_b, n_p)``, the PumpTrace of one schedule of one row.
+    """
+    raw = np.array([b.as_tuple() for b in bases]).T
+    bit_success, bit_kept, bit_levels = _pump(raw, _operators(raw, StepKind.BIT, p_local, meas_flip), n_b)
+    purified = np.moveaxis(bit_levels, 0, 1)  # [component, bit level, row]
+    phase_success, phase_kept, keepers = _pump(purified, _operators(purified, StepKind.PHASE, p_local, meas_flip), n_p)
+
+    def trace(row: int, n_b: int, n_p: int) -> PumpTrace:
+        path = [(StepKind.BIT, bit_success[j, row], bit_kept[j, :, row]) for j in range(n_b)]
+        path += [(StepKind.PHASE, phase_success[k, n_b, row], phase_kept[k, :, n_b, row]) for k in range(n_p)]
+        return _trace(bases[row], path)
+
+    return keepers, trace
+
+
+def run_two_level(schedule: PumpSchedule, params: ErrorParams, meas_flip: float) -> PumpTrace:
     """Deterministic trace of two-level pumping.
 
     Level one filters bit errors: a raw keeper is pumped n_b times with raw
     fresh pairs.  Level two filters phase errors: the bit-purified pair is
     the keeper and also the fresh input of each of the n_p phase steps.
-    Its steps are the search's, bit for bit: the same maps on one raw pair.
+    This is the search's own pass on one raw pair, read at (n_b, n_p), so
+    the search's winners are these traces by construction.
     """
-    base = raw_pair(params)
-    rates = params.p_local, _check_prob("meas_flip", meas_flip)
-    raw = np.array(base.as_tuple())
-    bit_success, bit_kept, bit_levels = _pump(raw, _operators(raw, StepKind.BIT, *rates), schedule.n_b)
-    purified = bit_levels[-1]
-    phase_success, phase_kept, _ = _pump(purified, _operators(purified, StepKind.PHASE, *rates), schedule.n_p)
-    path = [(StepKind.BIT, *step) for step in zip(bit_success, bit_kept)]
-    path += [(StepKind.PHASE, *step) for step in zip(phase_success, phase_kept)]
-    return _trace(base, path)
+    meas_flip = _check_prob("meas_flip", meas_flip)
+    _, trace = _two_level([raw_pair(params)], params.p_local, meas_flip, schedule.n_b, schedule.n_p)
+    return trace(0, schedule.n_b, schedule.n_p)
 
 
 def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[float], bound: int = 15) -> list[PumpTrace]:
@@ -267,57 +281,37 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
     steps.  Dephased raw pairs carry no bit errors, so their search is
     restricted to the one-level (n_b = 0) row.
 
-    Schedule (n_b, n_p) is (n_b, n_p - 1) plus one phase step, and the
-    bit-purified pair of n_b is that of n_b - 1 plus one bit step.  So for
-    up to ``SEARCH_SLICE`` adjacent rows that share ``p_local`` and
-    ``meas_flip`` (a sweep's F values at one p_L), n_b_max bit steps on the
-    raw pairs and then ``bound`` phase steps on every bit level at once step
-    every schedule of the grid: n_b_max + bound map applications.  The
-    search ranks exactly the infidelities its traces print.
+    Each ``SEARCH_SLICE`` rows, whatever their p_local and meas_flip, are
+    one two-level pass (``_two_level``), so the search ranks exactly the
+    infidelities its traces print.
     """
-    if not isinstance(bound, int) or isinstance(bound, bool) or not 0 <= bound <= MAX_BOUND:
-        raise ValidationError(f"bound must be an integer in [0, {MAX_BOUND}], got {bound!r}")
+    bound = _check_int("bound", bound, 0, MAX_BOUND)
     rows = list(rows)
-    flips = np.asarray(meas_flip, dtype=np.float64)
-    if flips.shape not in ((), (len(rows),)):
-        raise ValidationError(f"meas_flip needs one value or {len(rows)}, one per row; got shape {flips.shape}")
-    for flip in flips.flat:
-        _check_prob("meas_flip", flip)
+    shape = np.shape(meas_flip)
+    if shape not in ((), (len(rows),)):
+        raise ValidationError(f"meas_flip needs one value or {len(rows)}, one per row; got shape {shape}")
+    flips = np.broadcast_to([_check_prob("meas_flip", flip) for flip in (meas_flip if shape else [meas_flip])], len(rows))
     if any(p.noise is not rows[0].noise for p in rows):
         raise ValidationError("search rows must share the noise model")
     n_b_max = 0 if rows and rows[0].noise is NoiseKind.DEPHASING else bound
     traces: list[PumpTrace] = []
-    flips = np.broadcast_to(flips, len(rows)).tolist()
-    for rates, run in groupby(zip(rows, flips), key=lambda row: (row[0].p_local, row[1])):
-        run = [p for p, _ in run]
-        for lo in range(0, len(run), SEARCH_SLICE):
-            bases = [raw_pair(p) for p in run[lo : lo + SEARCH_SLICE]]
-            n = len(bases)
-            raw = np.array([b.as_tuple() for b in bases]).T
-            bit_success, bit_kept, bit_levels = _pump(raw, _operators(raw, StepKind.BIT, *rates), n_b_max)
-            # Bit level j of raw row i is keeper j*n + i, and its own fresh pair.
-            purified = np.moveaxis(bit_levels, 1, 0).reshape(4, -1)
-            phase_success, phase_kept, keepers = _pump(purified, _operators(purified, StepKind.PHASE, *rates), bound)
-
-            # Least infidelity; ties go to fewer total steps, then fewer phase steps.
-            # keepers[n_p, :, n_b*n + i] is schedule (n_b, n_p) of row i.
-            errors = ((keepers[:, 1] + keepers[:, 2]) + keepers[:, 3]).reshape(bound + 1, n_b_max + 1, n)
-            p_steps, b_steps = np.indices(errors.shape[:2])
-            rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
-            rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
-            winners = np.unravel_index(rank.reshape(-1, n).argmin(axis=0), errors.shape[:2])
-
-            for i, (base, n_p, n_b) in enumerate(zip(bases, *winners)):
-                path = [(StepKind.BIT, bit_success[j, i], bit_kept[j, :, i]) for j in range(n_b)]
-                row = n_b * n + i
-                path += [(StepKind.PHASE, phase_success[j, row], phase_kept[j, :, row]) for j in range(n_p)]
-                traces.append(_trace(base, path))
+    for lo in range(0, len(rows), SEARCH_SLICE):
+        part = rows[lo : lo + SEARCH_SLICE]
+        rates = np.array([p.p_local for p in part]), flips[lo : lo + SEARCH_SLICE]
+        keepers, trace = _two_level([raw_pair(p) for p in part], *rates, n_b_max, bound)
+        # Least infidelity; ties go to fewer total steps, then fewer phase steps.
+        errors = (keepers[:, 1] + keepers[:, 2]) + keepers[:, 3]  # [n_p, n_b, row]
+        p_steps, b_steps = np.indices(errors.shape[:2])
+        rank = ((p_steps + b_steps) * (bound + 1) + p_steps)[..., None]  # unique per schedule
+        rank = np.where(errors == errors.min(axis=(0, 1)), rank, rank.max() + 1)
+        winners = np.unravel_index(rank.reshape(-1, len(part)).argmin(axis=0), errors.shape[:2])
+        traces += [trace(row, n_b, n_p) for row, (n_p, n_b) in enumerate(zip(*winners))]
     return traces
 
 
 #: Longest alternating run: its trace's schedule counts the bit and the phase
-#: steps, and a PumpSchedule holds at most 64 of each.
-MAX_STANDARD_STEPS = 128
+#: steps, and a PumpSchedule holds at most MAX_STEPS of each.
+MAX_STANDARD_STEPS = 2 * MAX_STEPS
 
 
 def run_standard(
@@ -331,8 +325,7 @@ def run_standard(
     raw fresh pairs keep re-injecting both error species, which floors the
     reachable infidelity.
     """
-    if not isinstance(total_steps, int) or not 0 <= total_steps <= MAX_STANDARD_STEPS:
-        raise ValidationError(f"total_steps must be an integer in [0, {MAX_STANDARD_STEPS}], got {total_steps!r}")
+    total_steps = _check_int("total_steps", total_steps, 0, MAX_STANDARD_STEPS)
     meas_flip = _check_prob("meas_flip", meas_flip)
     base = raw_pair(params)
     keeper = np.array(base.as_tuple())

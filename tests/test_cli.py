@@ -237,11 +237,14 @@ class TestPump:
         assert lines[1]["kind"] == "phase"
         assert "infidelity" in lines[-1]
 
-    def test_schedule_past_the_cap_exits_3(self, capsys):
-        assert run_cli(capsys, ["pump", "--n-b", "65"]) == (
-            3,
-            "",
-            "invalid parameter: n_b unreasonably large (65); cap is 64\n",
+    @pytest.mark.parametrize("flag", ["--n-b", "--n-p"])
+    def test_schedule_past_the_cap_exits_2(self, capsys, flag):
+        # A schedule holds at most 64 steps of each kind, as --bound searches.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pump", flag, "65"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"rnp pump: error: argument {flag}: {flag} must lie in [0, 64], got 65"
         )
 
     def test_standard_scheme(self, capsys):
@@ -498,8 +501,8 @@ class TestSweep:
     @pytest.mark.parametrize("f_points", ["1", "4", "10"])
     @pytest.mark.parametrize("p_l_points", [1, 3])
     def test_one_search_per_p_l_column(self, capsys, monkeypatch, p_l_points, f_points):
-        # One map application per step of each p_L value's bound-6 grid,
-        # whatever the number of F values.
+        # One map application per step of the bound-6 grid for every row of
+        # every p_L value: the rows fit one search slice.
         calls = []
         real = pumping._pump
 
@@ -512,8 +515,8 @@ class TestSweep:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert len(out.splitlines()) == 1 + p_l_points * int(f_points)
-        n_f = int(f_points)
-        assert calls == ([n_f] * 6 + [7 * n_f] * 6) * p_l_points
+        n = p_l_points * int(f_points)
+        assert calls == [n] * 6 + [7 * n] * 6
 
     @pytest.mark.parametrize("mode", ["full", "level"])
     def test_one_search_call_per_sweep(self, capsys, monkeypatch, mode):
@@ -536,6 +539,27 @@ class TestSweep:
             tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]
         ]
         assert flips == [optimal_m(p, timings=TIMINGS).error_prob for p in rows]
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "dephasing"])
+    def test_default_sweep_map_applications(self, capsys, monkeypatch, noise):
+        # The 130 rows, of 13 p_L values, are three search slices of 64, 64
+        # and 2 rows: 3 * 30 map applications, or 3 * 15 for dephased rows.
+        calls = []
+        real = pumping._pump
+
+        def counting(start, op, steps):
+            calls.extend([start[0].size] * steps)
+            return real(start, op, steps)
+
+        monkeypatch.setattr(pumping, "_pump", counting)
+        code, _, _ = run_cli(capsys, ["sweep", "--noise", noise])
+        assert code == 0
+        if noise == "depolarizing":
+            assert len(calls) == 90
+            assert calls == ([64] * 15 + [16 * 64] * 15) * 2 + [2] * 15 + [16 * 2] * 15
+        else:
+            assert len(calls) == 45
+            assert calls == [64] * 15 * 2 + [2] * 15
 
     def test_repeated_p_l_shares_map_applications(self, capsys, monkeypatch):
         # Two equal p_L points are one run of rows: one map application per

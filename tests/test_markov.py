@@ -630,15 +630,16 @@ class TestOptimizeSchedule:
         with pytest.raises(ValidationError, match="search rows must share the noise model"):
             search_schedule(mixed, flips + [1.2e-5], bound)
 
-    def test_map_applications_follow_runs_of_shared_rates(self, monkeypatch):
-        # Adjacent rows that share p_local and meas_flip share each map
-        # application; every change of either starts a new run, which steps
-        # its own grid: runs of 2, 1, 1 and 2 rows here.
+    def test_mixed_rates_share_one_slice(self, monkeypatch):
+        # Rows of three p_local and two meas_flip values, in no order, share
+        # each map application of their slice: one grid of 15 + 15 steps.
         batches = []
         monkeypatch.setattr(pumping, "_pump", counting_maps(batches))
-        rows = column([0.9, 0.95]) + column([0.9], p_l=1e-4) + column([0.92, 0.93, 0.94])
-        search_schedule(rows, [1e-5, 1e-5, 1e-5, 1e-5, 2e-5, 2e-5], bound=15)
-        assert batches == [2] * 15 + [32] * 15 + ([1] * 15 + [16] * 15) * 2 + [2] * 15 + [32] * 15
+        rows = column([0.9, 0.95]) + column([0.9], p_l=1e-4) + column([0.92, 0.93], p_l=1e-5) + column([0.94])
+        flips = [1e-5, 2e-5, 1e-5, 2e-5, 1e-5, 2e-5]
+        traces = search_schedule(rows, flips, bound=15)
+        assert batches == [6] * 15 + [96] * 15
+        assert traces == [prefix_sharing_search(p, flip, 15) for p, flip in zip(rows, flips)]
 
     @pytest.mark.parametrize("meas_flip", [-1e-9, 1.5, 7.0, float("nan"), float("inf")])
     def test_meas_flip_out_of_range(self, meas_flip):
@@ -649,6 +650,15 @@ class TestOptimizeSchedule:
                     search_schedule(rows, meas_flip, bound)
         with pytest.raises(ValidationError, match="meas_flip"):
             search_schedule(column([0.9, 0.95, 0.99]), [1e-5, meas_flip, 1e-5], 0)
+
+    @pytest.mark.parametrize("meas_flip", ["1e-5", True, ["1e-5", "1e-5"], [1e-5, False], np.array(["1e-5"] * 2)])
+    def test_meas_flip_must_be_numbers(self, meas_flip):
+        # Each flip is checked as given: NumPy would turn "1e-5" and True
+        # into floats.
+        for rows in ([], column([0.9, 0.95])):
+            if np.shape(meas_flip) in ((), (len(rows),)):
+                with pytest.raises(ValidationError, match="^meas_flip must be a number, got "):
+                    search_schedule(rows, meas_flip, 0)
 
     @pytest.mark.parametrize("meas_flip", [[], [1e-5], [1e-5] * 3, [[1e-5, 1e-5]], np.full((2, 1), 1e-5)])
     def test_meas_flip_needs_one_value_per_row(self, meas_flip):
@@ -755,8 +765,14 @@ class TestLibraryGuards:
             build_chain(trace_from_probs([0.5], [0.5]), "full_restart")
 
     def test_negative_budget(self):
-        with pytest.raises(ValidationError, match="budget must be >= 0"):
+        with pytest.raises(ValidationError, match=r"budget must be an integer in \[0, inf\], got -1"):
             failure_probability(build_chain(trace_from_probs([0.5], [0.5]), RestartMode.FULL), -1)
+
+    @pytest.mark.parametrize("budget", [2.7, 2.0, True, "3"])
+    def test_budget_must_be_an_integer(self, budget):
+        # 2.7 used to give the mass at 2.
+        with pytest.raises(ValidationError, match=r"^budget must be an integer in \[0, inf\], got "):
+            failure_probability(build_chain(trace_from_probs([0.5], [0.5]), RestartMode.FULL), budget)
 
     def test_chain_that_cannot_absorb(self):
         # Each step succeeds with 1e-200; the raw completing the fresh build
@@ -780,6 +796,9 @@ class TestLibraryGuards:
             search_schedule(column([0.9]), 1.2e-5, bound)
         with pytest.raises(ValidationError, match=r"bound must be an integer in \[0, 64\]"):
             plan(params(0.9), TIMINGS, bound=bound)
+
+    def test_numpy_bound(self):
+        assert search_schedule(column([0.9]), 1.2e-5, np.int64(3)) == search_schedule(column([0.9]), 1.2e-5, 3)
 
     def test_plan_needs_a_readout_duration(self):
         p = params(0.95)

@@ -93,6 +93,15 @@ class TestPumpSchedule:
         with pytest.raises(ValidationError):
             PumpSchedule(n_b=1.5, n_p=0)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("n_b", [65, True, "2"])
+    def test_rejects_past_the_cap_and_non_integers(self, n_b):
+        with pytest.raises(ValidationError, match=r"^n_b must be an integer in \[0, 64\], got "):
+            PumpSchedule(n_b=n_b, n_p=0)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        s = PumpSchedule(n_b=np.int64(3), n_p=np.uint8(2))
+        assert s == PumpSchedule(3, 2) and type(s.n_b) is int and type(s.n_p) is int
+
     def test_accepts_search_bound_range(self):
         s = PumpSchedule(n_b=15, n_p=15)
         assert (s.n_b, s.n_p) == (15, 15)

@@ -639,16 +639,23 @@ class TestMonteCarlo:
             monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, 10, seed)
         assert seen == [0, 2**32, 2**64 - 1]
 
-    @pytest.mark.parametrize("trials", [0, -1, 2**32 + 1, 2**40])
+    @pytest.mark.parametrize("trials", [0, -1, 2**32 + 1, 2**40, 100.5, True, "100"])
     def test_trials_outside_the_counter_word_are_rejected(self, monkeypatch, trials):
         # A trial id is one 32-bit counter word.  The check comes first, so
-        # no per-trial array is allocated and the kernel never runs.
+        # no per-trial array is allocated and the kernel never runs.  100.5
+        # used to run 100 trials but report 100.5 and divide the standard
+        # errors by it; True used to report trials=True.
         def unreachable(*args):
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(oracle, "mc_consumed_pairs", unreachable)
-        with pytest.raises(ValidationError, match=r"trials must lie in \[1, 2\*\*32\]"):
+        with pytest.raises(ValidationError, match=r"trials must be an integer in \[1, 4294967296\]"):
             monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, trials, 7)
+
+    def test_numpy_trials_report_a_python_int(self):
+        res = monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, np.int64(10), 7)
+        assert res == monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, 10, 7)
+        assert type(res.trials) is int
 
     @pytest.mark.parametrize("mode", list(RestartMode))
     @pytest.mark.parametrize("n_b,n_p", [(2, 2), (0, 4)])

@@ -102,6 +102,18 @@ class TestNoiseMatrix:
         assert (_operators(fresh.T, kind, weight, meas_flip) >= 0.0).all()
 
 
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_per_row_rates_give_each_rows_scalar_map(self, kind):
+        # Rates broadcast on the trailing (row) axis, also under a leading
+        # level axis: every row's map is its scalar call's, bit for bit.
+        rng = np.random.default_rng(3)
+        fresh = rng.random((4, 3, 6)) * (rng.random((4, 3, 6)) < 0.8)
+        weights = np.array([0.0, 1e-300, 1e-6, 0.3, 15 / 16, 1.0])
+        flips = np.array([0.0, 1e-5, 0.5, 1.0, 0.25, 1e-2])
+        got = _operators(fresh, kind, weights, flips)
+        for row, (weight, flip) in enumerate(zip(weights, flips)):
+            assert np.array_equal(got[..., row], _operators(fresh[..., row], kind, float(weight), float(flip)))
+
 class TestPumpStep:
     def test_noiseless_bit_step_closed_form(self):
         # Independent first-principles check: accept on equal Z-parities,
@@ -427,11 +439,10 @@ class TestRunStandard:
         # The trace's schedule counts each kind, and a PumpSchedule holds 64 of each.
         assert run_standard(128, params(), 0.0).schedule == PumpSchedule(64, 64)
 
-    @pytest.mark.parametrize("total_steps", [129, -1, 2.0])
+    @pytest.mark.parametrize("total_steps", [129, -1, 2.0, True])
     def test_rejects_a_run_past_the_cap(self, total_steps):
         with pytest.raises(ValidationError, match=r"^total_steps must be an integer in \[0, 128\], got "):
             run_standard(total_steps, params(), 0.0)
-
 
 class TestClosedForm:
     def test_no_pumping_value(self):
