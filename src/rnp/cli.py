@@ -18,8 +18,10 @@ import numpy as np
 
 from . import timing
 from .markov import build_chain, compose_plan, expected_pairs, failure_probability, plan
-from .measurement import MAX_M, optimal_m
+from .measurement import optimal_m
 from .model import (
+    MAX_M,
+    MAX_STEPS,
     BudgetCapError,
     ErrorParams,
     NoiseKind,
@@ -30,7 +32,7 @@ from .model import (
     ValidationError,
 )
 from .oracle import monte_carlo_pumping, simulate_pump_step
-from .pumping import MAX_BOUND, MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
+from .pumping import MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
 from .timing import PhysicalTimings, memory_check
 
 EXIT_OK = 0
@@ -72,7 +74,7 @@ _prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
 _m_max = _number(int, lambda v: 0 <= v <= MAX_M, f"must lie in [0, {MAX_M}]")
-_bound = _number(int, lambda v: 0 <= v <= MAX_BOUND, f"must lie in [0, {MAX_BOUND}]")
+_bound = _number(int, lambda v: 0 <= v <= MAX_STEPS, f"must lie in [0, {MAX_STEPS}]")
 _standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
 _trials = _number(int, lambda v: 1 <= v <= 2**32, "must lie in [1, 4294967296]")
 _seed = _number(int, lambda v: 0 <= v < 2**64, "must lie in [0, 18446744073709551615]")

@@ -26,6 +26,7 @@ from .model import (
     RestartMode,
     UselessLinkError,
     ValidationError,
+    _check_enum,
     _check_int,
 )
 from .pumping import PumpTrace, StepKind, search_schedule
@@ -116,8 +117,7 @@ def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
     raw or DONE after a completed build; failure restarts at (0, 0) or at
     (b, 0).  Zero-probability transitions are left out.
     """
-    if not isinstance(restart_mode, RestartMode):
-        raise ValidationError(f"restart_mode must be a RestartMode, got {restart_mode!r}")
+    _check_enum("restart_mode", restart_mode, RestartMode)
     n_b = trace.schedule.n_b
     n_p = trace.schedule.n_p
     bit_succ = [s.success_prob for s in trace.steps if s.kind is StepKind.BIT]
@@ -148,10 +148,6 @@ def build_chain(trace: PumpTrace, restart_mode: RestartMode) -> MarkovChain:
     )
 
 
-def _clamp_probability(eps: float) -> float:
-    return float(min(max(eps, 0.0), 1.0))
-
-
 def _start_row(chain: MarkovChain) -> np.ndarray:
     row = np.zeros(chain.done)
     row[chain.start] = 1.0
@@ -175,7 +171,7 @@ def _mass(chain: MarkovChain, n: int) -> float:
 
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
-    return _clamp_probability(_mass(chain, _check_int("budget", budget, 0, math.inf)))
+    return min(max(_mass(chain, _check_int("budget", budget, 0, math.inf)), 0.0), 1.0)
 
 
 def expected_pairs(chain: MarkovChain) -> float:
@@ -197,7 +193,7 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
     """
     if not (0.0 <= delta_min < 1.0) or not math.isfinite(delta_min):
         raise ValidationError(f"delta_min must lie in [0, 1), got {delta_min!r}")
-    target, limit = float(delta_min), int(cap)
+    target, limit = float(delta_min), _check_int("cap", cap, 0, math.inf)
     top = 0
     while chain._power(top)[chain.start].sum() > target and 2 << top <= limit:
         top += 1

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import math
 
-from .model import ErrorParams, MeasurementPlan, ValidationError, _check_int
+from .model import MAX_M, ErrorParams, MeasurementPlan, ValidationError, _check_int
 from .timing import PhysicalTimings
 
 __all__ = ["measurement_error", "exact_vote_error", "measurement_time", "optimal_m", "MAX_M"]
 
-#: Largest repetition count ``optimal_m`` scans: above it the binomial
-#: coefficients of ``exact_vote_error``'s tail exceed the float range.
-MAX_M = 514
+
+def _shot_error(params: ErrorParams) -> float:
+    """Error of one readout shot, p_init + p_meas, which a vote needs below 1."""
+    p_shot = params.p_init + params.p_meas
+    if p_shot >= 1.0:
+        raise ValidationError(
+            f"p_init + p_meas must be below 1 for a majority vote, got {p_shot!r}"
+        )
+    return p_shot
 
 
 def measurement_error(m: int, params: ErrorParams) -> float:
@@ -30,15 +36,10 @@ def measurement_error(m: int, params: ErrorParams) -> float:
     to [0, 1] since the leading-order expression can exceed 1 for extreme
     inputs.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError(f"m must be a nonnegative integer, got {m!r}")
-    p_shot = params.p_init + params.p_meas
-    if p_shot >= 1.0:
-        raise ValidationError(
-            f"p_init + p_meas must be below 1 for a majority vote, got {p_shot!r}"
-        )
+    m = _check_int("m", m, 0, MAX_M)
+    p_shot = _shot_error(params)
     # math.comb is exact arbitrary-precision; float() afterwards is safe for
-    # any m this planner will ever see.
+    # every m up to MAX_M.
     vote = float(math.comb(2 * m + 1, m + 1)) * p_shot ** (m + 1)
     eps = vote + (2 * m + 1) / 2.0 * params.p_local
     return min(max(eps, 0.0), 1.0)
@@ -51,13 +52,8 @@ def exact_vote_error(m: int, params: ErrorParams) -> float:
     it stays accurate when (2m+1)*p is not small.  The two expressions
     agree to leading order but their minimizers over m can differ by one.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError(f"m must be a nonnegative integer, got {m!r}")
-    p_shot = params.p_init + params.p_meas
-    if p_shot >= 1.0:
-        raise ValidationError(
-            f"p_init + p_meas must be below 1 for a majority vote, got {p_shot!r}"
-        )
+    m = _check_int("m", m, 0, MAX_M)
+    p_shot = _shot_error(params)
     n = 2 * m + 1
     tail = 0.0  # summed left to right: builtin sum() compensates from Python 3.12
     for k in range(m + 1, n + 1):
@@ -68,8 +64,7 @@ def exact_vote_error(m: int, params: ErrorParams) -> float:
 
 def measurement_time(m: int, timings: PhysicalTimings) -> float:
     """Wall time of a voted readout: 2m+1 rounds of init + local gate + readout."""
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError(f"m must be a nonnegative integer, got {m!r}")
+    m = _check_int("m", m, 0, MAX_M)
     return (2 * m + 1) * (timings.t_init + timings.t_local + timings.t_meas)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "PlanResult",
     "SUM_TOL",
     "MAX_STEPS",
+    "MAX_M",
 ]
 
 #: Tolerance on probability-vector normalisation (see BellDiagonalState).
@@ -34,6 +35,10 @@ SUM_TOL = 1e-12
 
 #: Most steps of either kind a PumpSchedule holds.
 MAX_STEPS = 64
+
+#: Largest majority-vote repetition count m: above it the binomial
+#: coefficients of the vote error's tail exceed the float range.
+MAX_M = 514
 
 
 class ValidationError(ValueError):
@@ -86,18 +91,25 @@ def _check_number(name: str, value: float) -> float:
 
 def _check_int(name: str, value: int, lo: int, hi: int) -> int:
     """``value`` as an int in [lo, hi]; Python and NumPy integers pass, and
-    bool, float and str do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+    bool, float and str do not.  A plain int skips the slow ABC check."""
+    integral = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not integral or not lo <= value <= hi:
         raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
 
 
-def _check_prob(name: str, value: float, lo: float = 0.0, hi: float = 1.0) -> float:
+def _check_enum(name: str, value: enum.Enum, kind: type[enum.Enum]) -> None:
+    """Reject ``value`` unless it is a member of ``kind``; its value string does not pass."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_prob(name: str, value: float) -> float:
     value = _check_number(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    if not (lo <= value <= hi):
-        raise ValidationError(f"{name} out of range [{lo}, {hi}]: {value!r}")
+    if not (0.0 <= value <= 1.0):
+        raise ValidationError(f"{name} out of range [0.0, 1.0]: {value!r}")
     return value
 
 
@@ -135,8 +147,7 @@ class ErrorParams:
             raise UnpurifiableError(
                 f"fidelity must exceed 0.5 for purification, got {self.fidelity!r}"
             )
-        if not isinstance(self.noise, NoiseKind):
-            raise ValidationError(f"noise must be a NoiseKind, got {self.noise!r}")
+        _check_enum("noise", self.noise, NoiseKind)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,8 +230,7 @@ class MeasurementPlan:
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValidationError(f"m must be a nonnegative integer, got {self.m!r}")
+        object.__setattr__(self, "m", _check_int("m", self.m, 0, MAX_M))
         _check_prob("error_prob", self.error_prob)
         if self.duration_s is not None:
             _check_positive("duration_s", self.duration_s)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BellDiagonalState, RestartMode, StepKind, ValidationError, _check_int
+from .model import BellDiagonalState, RestartMode, StepKind, ValidationError, _check_enum, _check_int
 from .pumping import PumpTrace
 
 __all__ = [
@@ -179,8 +179,7 @@ def simulate_pump_step(
     Raises if the post-selected keeper is not Bell-diagonal, which would
     signal a circuit-convention bug.
     """
-    if not isinstance(kind, StepKind):
-        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
+    _check_enum("kind", kind, StepKind)
     rho = np.kron(_pair_density(target), _pair_density(fresh))
     DensityMatrix(rho)
 
@@ -317,14 +316,12 @@ def _philox_words(seed: int, trials: np.ndarray, draw: int, out: np.ndarray) -> 
 
 def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
     """Philox4x32-10 uniforms in [0, 1), one per trial id at one draw id: the words' top 53 bits."""
-    if not (isinstance(draw, (int, np.integer)) and 0 <= draw <= _MASK32):
-        raise ValidationError(f"draw must be one integer in [0, 2**32), got {draw!r}")
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
-        raise ValidationError(f"seed must be one integer in [0, 2**64), got {seed!r}")
+    draw = _check_int("draw", draw, 0, _MASK32)
+    seed = _check_int("seed", seed, 0, 2**64 - 1)
     trials = np.asarray(trial_ids).reshape(-1)
     if trials.size and not (trials.dtype.kind in "iu" and 0 <= trials.min() and trials.max() <= _MASK32):
         raise ValidationError("trial ids must be integers in [0, 2**32)")
-    words = _philox_words(seed, trials.astype(np.uint32, copy=False), int(draw), np.empty(trials.size, dtype=np.uint64))
+    words = _philox_words(seed, trials.astype(np.uint32, copy=False), draw, np.empty(trials.size, dtype=np.uint64))
     return np.right_shift(words, _SHIFT11, out=words) * _INV53
 
 
@@ -474,12 +471,11 @@ def monte_carlo_pumping(
     Each trial runs to absorption; the budget only classifies it
     as failed (consumed > budget).
     """
+    _check_enum("restart_mode", restart_mode, RestartMode)
+    budget = _check_int("budget", budget, 0, math.inf)
     # A trial id is one 32-bit counter word, and the seed the two key words.
     trials = _check_int("trials", trials, 1, 2**32)
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must lie in [0, 2**64), got {seed!r}")
-    if budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget!r}")
+    seed = _check_int("seed", seed, 0, 2**64 - 1)
     bit_succ = np.array(
         [s.success_prob for s in trace.steps if s.kind is StepKind.BIT], dtype=np.float64
     )
@@ -488,7 +484,7 @@ def monte_carlo_pumping(
     )
 
     full = restart_mode is RestartMode.FULL
-    consumed = mc_consumed_pairs(bit_succ, phase_succ, full, trials, int(seed)).astype(np.float64)
+    consumed = mc_consumed_pairs(bit_succ, phase_succ, full, trials, seed).astype(np.float64)
     fails = consumed > budget
     fail_fraction = float(np.mean(fails))
     mean_pairs = float(np.mean(consumed))

@@ -46,6 +46,7 @@ from .model import (
     PumpSchedule,
     StepKind,
     ValidationError,
+    _check_enum,
     _check_int,
     _check_prob,
 )
@@ -58,7 +59,6 @@ __all__ = [
     "run_two_level",
     "search_schedule",
     "SEARCH_SLICE",
-    "MAX_BOUND",
     "run_standard",
     "closed_form_infidelity",
 ]
@@ -68,9 +68,6 @@ __all__ = [
 #: peak at ~24 KB per raw pair at bound 15 and ~410 KB at bound 64, so more
 #: rows are searched slice by slice.
 SEARCH_SLICE = 64
-
-#: Largest search bound: the most steps of each kind a PumpSchedule holds.
-MAX_BOUND = MAX_STEPS
 
 
 def _cnot_gather(kind: StepKind) -> np.ndarray:
@@ -227,8 +224,7 @@ def pump_step(
     each register's CNOT.
     """
     rates = _check_prob("p_local", p_local), _check_prob("meas_flip", meas_flip)
-    if not isinstance(kind, StepKind):
-        raise ValidationError(f"kind must be a StepKind, got {kind!r}")
+    _check_enum("kind", kind, StepKind)
     success, accepted, _ = _pump(np.array(target.as_tuple()), _operators(np.array(fresh.as_tuple()), kind, *rates), 1)
     return _trace(target, [(kind, success[0], accepted[0])]).steps[0]
 
@@ -277,7 +273,7 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
 
     The rows must share ``noise``; ``meas_flip`` is one readout error for
     every row or a sequence of one per row; ``bound`` is an integer in
-    [0, MAX_BOUND].  Ties break toward fewer total steps, then fewer phase
+    [0, MAX_STEPS].  Ties break toward fewer total steps, then fewer phase
     steps.  Dephased raw pairs carry no bit errors, so their search is
     restricted to the one-level (n_b = 0) row.
 
@@ -285,7 +281,7 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
     one two-level pass (``_two_level``), so the search ranks exactly the
     infidelities its traces print.
     """
-    bound = _check_int("bound", bound, 0, MAX_BOUND)
+    bound = _check_int("bound", bound, 0, MAX_STEPS)
     rows = list(rows)
     shape = np.shape(meas_flip)
     if shape not in ((), (len(rows),)):

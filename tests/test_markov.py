@@ -28,6 +28,7 @@ from rnp import (
 )
 from rnp import ValidationError, cli, markov, pumping
 from rnp.markov import MarkovChain
+from rnp.model import MAX_STEPS
 from rnp.measurement import optimal_m
 from rnp.pumping import PumpTrace, StepKind, StepRecord
 from rnp.timing import PhysicalTimings
@@ -788,7 +789,7 @@ class TestLibraryGuards:
         with pytest.raises(ValidationError, match="delta_min must lie in"):
             solve_budget(chain, delta_min)
 
-    @pytest.mark.parametrize("bound", [-1, 1.5, True, pumping.MAX_BOUND + 1, 100_000])
+    @pytest.mark.parametrize("bound", [-1, 1.5, True, MAX_STEPS + 1, 100_000])
     def test_bad_bound(self, bound):
         # 64 steps of either kind is the PumpSchedule cap; a larger bound
         # would only cost O(bound^2) memory.  Checked before any step.

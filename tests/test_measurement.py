@@ -101,7 +101,8 @@ class TestOptimalM:
 
     def test_largest_m_has_a_finite_tail(self):
         assert 0.0 < exact_vote_error(measurement.MAX_M, params(p_l=1e-6)) < 1.0
-        with pytest.raises(OverflowError):
+        # One past it the tail's binomial coefficients would overflow a float.
+        with pytest.raises(ValidationError, match=r"^m must be an integer in \[0, 514\], got 515$"):
             exact_vote_error(measurement.MAX_M + 1, params(p_l=1e-6))
 
     def test_duration_attached_with_timings(self):

@@ -542,18 +542,18 @@ class TestPhilox:
     def test_draw_must_be_one_integer(self, draw):
         # A 1-element array is not a shared draw id: it would broadcast
         # into the per-trial lanes and give the wrong uniforms.
-        with pytest.raises(ValidationError, match="draw must be one integer"):
+        with pytest.raises(ValidationError, match=r"^draw must be an integer in \[0, 4294967295\], got "):
             oracle.philox_uniforms(7, np.arange(4, dtype=np.uint32), draw)
 
     @pytest.mark.parametrize("draw", [-1, 2**32, 2**64])
     def test_draw_must_be_a_counter_word(self, draw):
-        with pytest.raises(ValidationError, match=r"in \[0, 2\*\*32\)"):
+        with pytest.raises(ValidationError, match=r"^draw must be an integer in \[0, 4294967295\], got "):
             oracle.philox_uniforms(7, np.arange(4, dtype=np.uint32), draw)
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 5, np.int64(-1), 5.0])
     def test_seed_must_be_a_key(self, seed):
         # Masking would replay another stream: -1 that of 2**64 - 1, 2**64 + 5 that of 5.
-        with pytest.raises(ValidationError, match=r"seed must be one integer in \[0, 2\*\*64\)"):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer in \[0, 18446744073709551615\], got "):
             oracle.philox_uniforms(seed, np.arange(4, dtype=np.uint32), 0)
 
     @pytest.mark.parametrize(
@@ -623,7 +623,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 5])
     def test_seed_outside_the_key_is_rejected(self, seed):
         # Masking would alias: 2**64 would replay seed 0, and -1 seed 2**64 - 1.
-        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        with pytest.raises(ValidationError, match=r"^seed must be an integer in \[0, 18446744073709551615\], got "):
             monte_carlo_pumping(trace_for(2, 2), RestartMode.FULL, 20, 10, seed)
 
     def test_seed_reaches_the_kernel_unmasked(self, monkeypatch):
