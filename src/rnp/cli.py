@@ -11,7 +11,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ from .measurement import optimal_m
 from .model import (
     MAX_M,
     MAX_STEPS,
+    POSITIVE,
     BudgetCapError,
     ErrorParams,
     NoiseKind,
@@ -30,8 +30,10 @@ from .model import (
     UnpurifiableError,
     UselessLinkError,
     ValidationError,
+    _check_int,
+    _check_real,
 )
-from .oracle import monte_carlo_pumping, simulate_pump_step
+from .oracle import MAX_SEED, MAX_TRIALS, monte_carlo_pumping, simulate_pump_step
 from .pumping import MAX_STANDARD_STEPS, StepKind, pump_step, raw_pair, run_standard, run_two_level, search_schedule
 from .timing import PhysicalTimings, memory_check
 
@@ -50,34 +52,32 @@ PRESETS = {
 }
 
 
-def _number(parse, in_range, rule: str):
-    """Flag-type factory: ``factory(flag)`` parses a flag's text with ``parse``
-    and rejects values outside ``in_range`` (NaN included), naming the flag."""
-    noun = "an integer" if parse is int else "a number"
-
-    def factory(flag: str):
-        def convert(text: str):
-            try:
-                v = parse(text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"{flag} expects {noun}, got {text!r}")
-            if not in_range(v):
-                raise argparse.ArgumentTypeError(f"{flag} {rule}, got {text}")
-            return v
-
-        return convert
-
-    return factory
+def _parse(check, bounds: tuple, flag: str, text: str):
+    """A numeric flag's value: its text as a number, checked by the library's
+    ``check`` under the flag's name, so a flag error is the library's message."""
+    try:
+        value = int(text) if check is _check_int else float(text)
+    except ValueError:
+        value = text  # each check rejects text as not a number
+    try:
+        return check(flag, value, *bounds)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_prob = _number(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-_positive = _number(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
-_nonneg_int = _number(int, lambda v: v >= 0, "must be >= 0")
-_m_max = _number(int, lambda v: 0 <= v <= MAX_M, f"must lie in [0, {MAX_M}]")
-_bound = _number(int, lambda v: 0 <= v <= MAX_STEPS, f"must lie in [0, {MAX_STEPS}]")
-_standard_steps = _number(int, lambda v: 0 <= v <= MAX_STANDARD_STEPS, f"must lie in [0, {MAX_STANDARD_STEPS}]")
-_trials = _number(int, lambda v: 1 <= v <= 2**32, "must lie in [1, 4294967296]")
-_seed = _number(int, lambda v: 0 <= v < 2**64, "must lie in [0, 18446744073709551615]")
+def _flag(check, *bounds):
+    """Flag-type factory: ``factory(flag)`` parses the flag with ``_parse``."""
+    return lambda flag: functools.partial(_parse, check, bounds, flag)
+
+
+_prob = _flag(_check_real)
+_positive = _flag(_check_real, *POSITIVE)
+_count = _flag(_check_int)
+_m_max = _flag(_check_int, 0, MAX_M)
+_bound = _flag(_check_int, 0, MAX_STEPS)
+_standard_steps = _flag(_check_int, 0, MAX_STANDARD_STEPS)
+_trials = _flag(_check_int, 1, MAX_TRIALS)
+_seed = _flag(_check_int, 0, MAX_SEED)
 
 
 def _add_error_flags(p: argparse.ArgumentParser, readout: bool = True, gate: bool = True) -> None:
@@ -89,12 +89,15 @@ def _add_error_flags(p: argparse.ArgumentParser, readout: bool = True, gate: boo
 
 
 def _add_timing_flags(p: argparse.ArgumentParser, memory: bool = False) -> None:
-    p.add_argument("--tau", type=_positive("--tau"), default=10e-9, help="radiative lifetime [s]")
-    p.add_argument("--eta", type=_prob("--eta"), default=0.2, help="collection/detection efficiency")
-    p.add_argument("--cavity-c", type=_positive("--cavity-c"), default=10.0, help="Purcell factor")
-    p.add_argument("--t-local", type=_positive("--t-local"), default=0.1e-6, help="local gate time [s]")
+    def add(flag: str, name: str, default: float | None, text: str) -> None:  # name's range in timing.RANGES
+        p.add_argument(flag, type=_flag(_check_real, *timing.RANGES[name])(flag), default=default, help=text)
+
+    add("--tau", "tau", 10e-9, "radiative lifetime [s]")
+    add("--eta", "eta", 0.2, "collection/detection efficiency")
+    add("--cavity-c", "purcell_c", 10.0, "Purcell factor")
+    add("--t-local", "t_local", 0.1e-6, "local gate time [s]")
     if memory:
-        p.add_argument("--t-mem", type=_positive("--t-mem"), default=None, help="storage memory time [s]")
+        add("--t-mem", "t_mem", None, "storage memory time [s]")
 
 
 def _noise_kind(text: str) -> NoiseKind:
@@ -386,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_timing_flags(p_sweep)
     p_sweep.add_argument("--p-l-min", type=_positive("--p-l-min"), default=1e-6)
     p_sweep.add_argument("--p-l-max", type=_positive("--p-l-max"), default=1e-3)
-    p_sweep.add_argument("--p-l-points", type=_nonneg_int("--p-l-points"), default=13)
+    p_sweep.add_argument("--p-l-points", type=_count("--p-l-points"), default=13)
     p_sweep.add_argument("--f-min", type=_prob("--f-min"), default=0.90)
     p_sweep.add_argument("--f-max", type=_prob("--f-max"), default=0.99)
-    p_sweep.add_argument("--f-points", type=_nonneg_int("--f-points"), default=10)
+    p_sweep.add_argument("--f-points", type=_count("--f-points"), default=10)
     p_sweep.add_argument("--bound", type=_bound("--bound"), default=15)
     p_sweep.add_argument("--restart-mode", type=_restart_mode, default=RestartMode.FULL)
     p_sweep.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")

@@ -11,7 +11,6 @@ restart mode; DONE is the single absorbing state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +27,7 @@ from .model import (
     ValidationError,
     _check_enum,
     _check_int,
+    _check_real,
 )
 from .pumping import PumpTrace, StepKind, search_schedule
 from .timing import PhysicalTimings
@@ -171,7 +171,7 @@ def _mass(chain: MarkovChain, n: int) -> float:
 
 def failure_probability(chain: MarkovChain, budget: int) -> float:
     """Probability that ``budget`` raw pairs do not finish the schedule."""
-    return min(max(_mass(chain, _check_int("budget", budget, 0, math.inf)), 0.0), 1.0)
+    return min(max(_mass(chain, _check_int("budget", budget)), 0.0), 1.0)
 
 
 def expected_pairs(chain: MarkovChain) -> float:
@@ -191,9 +191,7 @@ def solve_budget(chain: MarkovChain, delta_min: float, cap: int = BUDGET_CAP) ->
     largest n whose mass is above ``delta_min``, and n + 1 is the answer.
     ``failure_probability`` at that budget reuses the same powers.
     """
-    if not (0.0 <= delta_min < 1.0) or not math.isfinite(delta_min):
-        raise ValidationError(f"delta_min must lie in [0, 1), got {delta_min!r}")
-    target, limit = float(delta_min), _check_int("cap", cap, 0, math.inf)
+    target, limit = _check_real("delta_min", delta_min, 0.0, 1.0, "[)"), _check_int("cap", cap)
     top = 0
     while chain._power(top)[chain.start].sum() > target and 2 << top <= limit:
         top += 1

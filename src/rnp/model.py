@@ -36,6 +36,9 @@ SUM_TOL = 1e-12
 #: Most steps of either kind a PumpSchedule holds.
 MAX_STEPS = 64
 
+#: The range of a time, or of any other positive real, for ``_check_real``.
+POSITIVE = (0.0, math.inf, "()")
+
 #: Largest majority-vote repetition count m: above it the binomial
 #: coefficients of the vote error's tail exceed the float range.
 MAX_M = 514
@@ -83,13 +86,22 @@ class StepKind(enum.Enum):
     PHASE = "phase"
 
 
-def _check_number(name: str, value: float) -> float:
+def _check_real(name: str, value: float, lo: float = 0.0, hi: float = 1.0, ends: str = "[]") -> float:
+    """``value`` as a float between lo and hi, each end closed ("[", "]") or
+    open ("(", ")"); NaN lies in no range.  Python and NumPy reals pass, and
+    bool and text do not."""
     if isinstance(value, (str, bytes, bool)):  # float() would take "0.95" and True
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+        if lo < value < hi or value == lo and ends[0] == "[" or value == hi and ends[1] == "]":
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass  # not a real, or an int past the float range: in no range
+    raise ValidationError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
 
 
-def _check_int(name: str, value: int, lo: int, hi: int) -> int:
+def _check_int(name: str, value: int, lo: int = 0, hi: int = math.inf) -> int:
     """``value`` as an int in [lo, hi]; Python and NumPy integers pass, and
     bool, float and str do not.  A plain int skips the slow ABC check."""
     integral = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
@@ -102,22 +114,6 @@ def _check_enum(name: str, value: enum.Enum, kind: type[enum.Enum]) -> None:
     """Reject ``value`` unless it is a member of ``kind``; its value string does not pass."""
     if not isinstance(value, kind):
         raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
-
-
-def _check_prob(name: str, value: float) -> float:
-    value = _check_number(name, value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    if not (0.0 <= value <= 1.0):
-        raise ValidationError(f"{name} out of range [0.0, 1.0]: {value!r}")
-    return value
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = _check_number(name, value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ class ErrorParams:
 
     def __post_init__(self) -> None:
         for name in ("p_local", "p_init", "p_meas", "fidelity"):
-            object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.fidelity <= 0.5:
             raise UnpurifiableError(
                 f"fidelity must exceed 0.5 for purification, got {self.fidelity!r}"
@@ -231,9 +227,9 @@ class MeasurementPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_int("m", self.m, 0, MAX_M))
-        _check_prob("error_prob", self.error_prob)
+        object.__setattr__(self, "error_prob", _check_real("error_prob", self.error_prob))
         if self.duration_s is not None:
-            _check_positive("duration_s", self.duration_s)
+            object.__setattr__(self, "duration_s", _check_real("duration_s", self.duration_s, *POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,8 @@ class PlanResult:
     restart_mode: RestartMode = field(default=RestartMode.FULL)
 
     def __post_init__(self) -> None:
-        _check_prob("delta_min", self.delta_min)
-        _check_prob("eps_fail", self.eps_fail)
-        _check_prob("eps_E", self.eps_E)
-        _check_prob("gamma", self.gamma)
+        for name in ("delta_min", "eps_fail", "eps_E", "gamma"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.eps_E > 2.0 * self.delta_min + SUM_TOL:
             raise ValidationError(
                 f"eps_E={self.eps_E!r} exceeds 2*delta_min={2 * self.delta_min!r}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BellDiagonalState, RestartMode, StepKind, ValidationError, _check_enum, _check_int
+from .model import BellDiagonalState, RestartMode, StepKind, ValidationError, _check_enum, _check_int, _check_real
 from .pumping import PumpTrace
 
 __all__ = [
@@ -179,6 +179,7 @@ def simulate_pump_step(
     Raises if the post-selected keeper is not Bell-diagonal, which would
     signal a circuit-convention bug.
     """
+    p_local, meas_flip = _check_real("p_local", p_local), _check_real("meas_flip", meas_flip)
     _check_enum("kind", kind, StepKind)
     rho = np.kron(_pair_density(target), _pair_density(fresh))
     DensityMatrix(rho)
@@ -225,6 +226,9 @@ _M0, _M1 = 0xD2511F53, 0xCD9E8D57
 _MULT = np.array([[_M1], [_M0]], dtype=np.uint64)
 _BUMP = (0x9E3779B9, 0xBB67AE85)
 _MASK32 = 0xFFFFFFFF
+#: Most Monte-Carlo trials and largest seed: a trial id is one 32-bit counter
+#: word, and a seed the two key words.
+MAX_TRIALS, MAX_SEED = 2**32, 2**64 - 1
 # Array operands: NumPy takes these faster than uint64 scalars.
 _SHIFT32 = np.array([32], dtype=np.uint64)
 _LOW32 = np.array([0xFFFFFFFF], dtype=np.uint64)
@@ -317,10 +321,10 @@ def _philox_words(seed: int, trials: np.ndarray, draw: int, out: np.ndarray) -> 
 def philox_uniforms(seed: int, trial_ids: np.ndarray, draw: int) -> np.ndarray:
     """Philox4x32-10 uniforms in [0, 1), one per trial id at one draw id: the words' top 53 bits."""
     draw = _check_int("draw", draw, 0, _MASK32)
-    seed = _check_int("seed", seed, 0, 2**64 - 1)
+    seed = _check_int("seed", seed, 0, MAX_SEED)
     trials = np.asarray(trial_ids).reshape(-1)
     if trials.size and not (trials.dtype.kind in "iu" and 0 <= trials.min() and trials.max() <= _MASK32):
-        raise ValidationError("trial ids must be integers in [0, 2**32)")
+        raise ValidationError(f"trial ids must be integers in [0, {_MASK32}]")
     words = _philox_words(seed, trials.astype(np.uint32, copy=False), draw, np.empty(trials.size, dtype=np.uint64))
     return np.right_shift(words, _SHIFT11, out=words) * _INV53
 
@@ -472,10 +476,9 @@ def monte_carlo_pumping(
     as failed (consumed > budget).
     """
     _check_enum("restart_mode", restart_mode, RestartMode)
-    budget = _check_int("budget", budget, 0, math.inf)
-    # A trial id is one 32-bit counter word, and the seed the two key words.
-    trials = _check_int("trials", trials, 1, 2**32)
-    seed = _check_int("seed", seed, 0, 2**64 - 1)
+    budget = _check_int("budget", budget)
+    trials = _check_int("trials", trials, 1, MAX_TRIALS)
+    seed = _check_int("seed", seed, 0, MAX_SEED)
     bit_succ = np.array(
         [s.success_prob for s in trace.steps if s.kind is StepKind.BIT], dtype=np.float64
     )

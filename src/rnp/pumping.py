@@ -48,7 +48,7 @@ from .model import (
     ValidationError,
     _check_enum,
     _check_int,
-    _check_prob,
+    _check_real,
 )
 
 __all__ = [
@@ -165,8 +165,7 @@ class StepRecord:
     state_after_success: BellDiagonalState
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.success_prob <= 1.0):
-            raise ValidationError(f"success_prob must be in (0, 1], got {self.success_prob!r}")
+        object.__setattr__(self, "success_prob", _check_real("success_prob", self.success_prob, 0.0, 1.0, "(]"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,7 +222,7 @@ def pump_step(
     measurements (one per register); ``p_local`` the depolarizing weight of
     each register's CNOT.
     """
-    rates = _check_prob("p_local", p_local), _check_prob("meas_flip", meas_flip)
+    rates = _check_real("p_local", p_local), _check_real("meas_flip", meas_flip)
     _check_enum("kind", kind, StepKind)
     success, accepted, _ = _pump(np.array(target.as_tuple()), _operators(np.array(fresh.as_tuple()), kind, *rates), 1)
     return _trace(target, [(kind, success[0], accepted[0])]).steps[0]
@@ -262,7 +261,7 @@ def run_two_level(schedule: PumpSchedule, params: ErrorParams, meas_flip: float)
     This is the search's own pass on one raw pair, read at (n_b, n_p), so
     the search's winners are these traces by construction.
     """
-    meas_flip = _check_prob("meas_flip", meas_flip)
+    meas_flip = _check_real("meas_flip", meas_flip)
     _, trace = _two_level([raw_pair(params)], params.p_local, meas_flip, schedule.n_b, schedule.n_p)
     return trace(0, schedule.n_b, schedule.n_p)
 
@@ -286,7 +285,7 @@ def search_schedule(rows: Sequence[ErrorParams], meas_flip: float | Sequence[flo
     shape = np.shape(meas_flip)
     if shape not in ((), (len(rows),)):
         raise ValidationError(f"meas_flip needs one value or {len(rows)}, one per row; got shape {shape}")
-    flips = np.broadcast_to([_check_prob("meas_flip", flip) for flip in (meas_flip if shape else [meas_flip])], len(rows))
+    flips = np.broadcast_to([_check_real("meas_flip", flip) for flip in (meas_flip if shape else [meas_flip])], len(rows))
     if any(p.noise is not rows[0].noise for p in rows):
         raise ValidationError("search rows must share the noise model")
     n_b_max = 0 if rows and rows[0].noise is NoiseKind.DEPHASING else bound
@@ -322,7 +321,7 @@ def run_standard(
     reachable infidelity.
     """
     total_steps = _check_int("total_steps", total_steps, 0, MAX_STANDARD_STEPS)
-    meas_flip = _check_prob("meas_flip", meas_flip)
+    meas_flip = _check_real("meas_flip", meas_flip)
     base = raw_pair(params)
     keeper = np.array(base.as_tuple())
     ops = {kind: _operators(keeper, kind, params.p_local, meas_flip) for kind in StepKind}
@@ -351,7 +350,7 @@ def closed_form_infidelity(
     n_b, n_p = schedule.n_b, schedule.n_p
     one_minus_f = 1.0 - params.fidelity
     gate_term = (3.0 + 2.0 * n_p) / 4.0 * params.p_local
-    meas_term = (4.0 + 2.0 * (n_b + n_p)) / 3.0 * one_minus_f * _check_prob("meas_flip", meas_flip)
+    meas_term = (4.0 + 2.0 * (n_b + n_p)) / 3.0 * one_minus_f * _check_real("meas_flip", meas_flip)
     bit_residual = (n_p + 1) * (2.0 * one_minus_f / 3.0) ** (n_b + 1)
     phase_residual = ((n_b + 1) * one_minus_f / 3.0) ** (n_p + 1)
     return gate_term + meas_term + bit_residual + phase_residual

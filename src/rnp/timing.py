@@ -6,12 +6,21 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import ValidationError, _check_number, _check_positive
+from .model import POSITIVE, ValidationError, _check_real
 
 __all__ = ["PhysicalTimings", "memory_check", "MemoryCheck"]
 
 #: t_C / t_mem above this raises the "too slow for the memory" warning flag.
 DEFAULT_MEMORY_RATIO = 0.01
+
+#: Each time input's range and each derived time's, (lo, hi, ends) for
+#: ``model._check_real``, in the order PhysicalTimings checks them.
+RANGES = {
+    "eta": (0.0, 1.0, "()"),
+    "p_meas": (0.0, 1.0, "()"),
+    "purcell_c": (1.0, math.inf, "[)"),
+    **dict.fromkeys(("tau", "t_init", "t_local", "t_ent", "t_mem"), POSITIVE),
+}
 
 
 @dataclass(frozen=True)
@@ -43,27 +52,20 @@ class PhysicalTimings:
     t_ent: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("p_meas", "eta", "tau", "purcell_c", "t_local", "t_mem"):
-            if getattr(self, name) is not None:  # t_mem alone may be None
-                object.__setattr__(self, name, _check_number(name, getattr(self, name)))
-        p_meas, eta, tau, purcell_c = self.p_meas, self.eta, self.tau, self.purcell_c
-        if not (0.0 < eta < 1.0):
-            raise ValidationError(f"eta must lie strictly inside (0, 1), got {eta!r}")
-        if not (0.0 < p_meas < 1.0):
-            raise ValidationError(f"p_meas must lie strictly inside (0, 1), got {p_meas!r}")
-        if not (math.isfinite(purcell_c) and purcell_c >= 1.0):
-            raise ValidationError(f"purcell_c must be >= 1, got {purcell_c!r}")
-        _check_positive("tau", tau)
-        log_miss = math.log(1.0 - eta)
+        def check(name: str, value: float) -> None:
+            object.__setattr__(self, name, _check_real(name, value, *RANGES[name]))
+
+        for name in ("eta", "p_meas", "purcell_c", "tau"):
+            check(name, getattr(self, name))
+        log_miss = math.log(1.0 - self.eta)
         if log_miss == 0.0:
-            raise ValidationError(f"eta must exceed 2**-54, where 1 - eta rounds to 1, got {eta!r}")
-        t = _check_positive("t_init", math.log(p_meas) / log_miss * tau / purcell_c)
-        _check_positive("t_local", self.t_local)
-        object.__setattr__(self, "t_init", t)
-        object.__setattr__(self, "t_meas", t)
-        object.__setattr__(self, "t_ent", _check_positive("t_ent", (t + tau / purcell_c) / (eta * eta)))
+            raise ValidationError(f"eta must exceed 2**-54, where 1 - eta rounds to 1, got {self.eta!r}")
+        check("t_init", math.log(self.p_meas) / log_miss * self.tau / self.purcell_c)
+        object.__setattr__(self, "t_meas", self.t_init)
+        check("t_local", self.t_local)
+        check("t_ent", (self.t_init + self.tau / self.purcell_c) / (self.eta * self.eta))
         if self.t_mem is not None:
-            _check_positive("t_mem", self.t_mem)
+            check("t_mem", self.t_mem)
 
 
 class MemoryCheck(NamedTuple):
@@ -77,7 +79,5 @@ def memory_check(t_c: float, t_mem: float) -> MemoryCheck:
     Returns t_c/t_mem and a warning flag once the ratio exceeds
     ``DEFAULT_MEMORY_RATIO`` (1%, i.e. two decades of headroom).
     """
-    if t_c <= 0.0 or t_mem <= 0.0:
-        raise ValidationError("t_c and t_mem must both be positive")
-    ratio = t_c / t_mem
+    ratio = _check_real("t_c", t_c, *POSITIVE) / _check_real("t_mem", t_mem, *POSITIVE)
     return MemoryCheck(ratio=ratio, warning=ratio > DEFAULT_MEMORY_RATIO)

@@ -1,9 +1,12 @@
 import argparse
 import contextlib
+import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -123,7 +126,7 @@ class TestMeasure:
             cli.main(["measure", "--m-max", m_max])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        rule = f"--m-max must lie in [0, 514], got {m_max}"
+        rule = f"--m-max must be an integer in [0, 514], got {m_max}"
         assert err.splitlines()[-1] == f"rnp measure: error: argument --m-max: {rule}"
         assert "Traceback" not in err
 
@@ -140,14 +143,14 @@ class TestFlagErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["plan", "--f", "abc"], "argument --f: --f expects a number, got 'abc'"),
+            (["plan", "--f", "abc"], "argument --f: --f must be a number, got 'abc'"),
             (["plan", "--f", "nan"], "argument --f: --f must lie in [0, 1], got nan"),
-            (["plan", "--tau", "x"], "argument --tau: --tau expects a number, got 'x'"),
-            (["plan", "--tau", "inf"], "argument --tau: --tau must be positive and finite, got inf"),
-            (["plan", "--bound", "1.5"], "argument --bound: --bound expects an integer, got '1.5'"),
-            (["plan", "--bound", "-1"], "argument --bound: --bound must lie in [0, 64], got -1"),
-            (["plan", "--bound", "65"], "argument --bound: --bound must lie in [0, 64], got 65"),
-            (["plan", "--bound", "100000"], "argument --bound: --bound must lie in [0, 64], got 100000"),
+            (["plan", "--tau", "x"], "argument --tau: --tau must be a number, got 'x'"),
+            (["plan", "--tau", "inf"], "argument --tau: --tau must lie in (0, inf), got inf"),
+            (["plan", "--bound", "1.5"], "argument --bound: --bound must be an integer in [0, 64], got '1.5'"),
+            (["plan", "--bound", "-1"], "argument --bound: --bound must be an integer in [0, 64], got -1"),
+            (["plan", "--bound", "65"], "argument --bound: --bound must be an integer in [0, 64], got 65"),
+            (["plan", "--bound", "100000"], "argument --bound: --bound must be an integer in [0, 64], got 100000"),
             (
                 ["plan", "--noise", "x"],
                 "argument --noise: --noise must be 'depolarizing' or 'dephasing', got 'x'",
@@ -171,7 +174,7 @@ class TestFlagErrors:
             cli.main(["sweep", "--bound", bound])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"rnp sweep: error: argument --bound: --bound must lie in [0, 64], got {bound}"
+            f"rnp sweep: error: argument --bound: --bound must be an integer in [0, 64], got {bound}"
         )
 
     @pytest.mark.parametrize("command", ["plan", "sweep"])
@@ -222,6 +225,66 @@ class TestFlagErrors:
         assert "unrecognized arguments: " in capsys.readouterr().err
 
 
+def _numeric_flags():
+    """(command, flag, action) of every flag whose type is not an enum word."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.type not in (None, cli._noise_kind, cli._restart_mode):
+                yield command, action.option_strings[0], action
+
+
+class TestFlagTypes:
+    # Every numeric flag's type is the one factory's: the library's check,
+    # given the flag's name.  So each flag takes exactly its check's range
+    # and rejects the rest with exit 2 and the library's message.
+    def test_every_numeric_flag_comes_from_the_factory(self):
+        flags = list(_numeric_flags())
+        assert len(flags) == 39
+        for _, flag, action in flags:
+            assert isinstance(action.type, functools.partial) and action.type.func is cli._parse, flag
+            check, _, name = action.type.args
+            assert check in (cli._check_int, cli._check_real) and name == flag
+
+    def test_timing_flags_take_the_timing_ranges(self):
+        inputs = {"--tau": "tau", "--eta": "eta", "--cavity-c": "purcell_c", "--t-local": "t_local", "--t-mem": "t_mem"}
+        for _, flag, action in _numeric_flags():
+            if flag in inputs:
+                assert action.type.args[:2] == (cli._check_real, timing.RANGES[inputs[flag]]), flag
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, f, _ in _numeric_flags()])
+    def test_ends_past_ends_and_non_numbers(self, capsys, command, flag):
+        # Tries lo, hi, one value past each end, nan, inf and a non-number.
+        action = {f: a for c, f, a in _numeric_flags() if c == command}[flag]
+        check, bounds, _ = action.type.args
+        limits = inspect.signature(check).bind(flag, None, *bounds)
+        limits.apply_defaults()
+        lo, hi = limits.arguments["lo"], limits.arguments["hi"]
+        left, right = limits.arguments.get("ends", "[]")
+        if check is cli._check_int:
+            parse, rule = int, f"be an integer in [{lo}, {hi}]"
+            texts = [str(v) for v in (lo, hi, lo - 1, hi + 1)]
+        else:
+            parse, rule = float, f"lie in {left}{lo:g}, {hi:g}{right}"
+            texts = [repr(v) for v in (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))]
+        for text in texts + ["nan", "inf", "x"]:
+            argv = [command, f"{flag}={text}"]
+            try:
+                value = parse(text)
+            except ValueError:
+                message = f"{flag} must {rule if parse is int else 'be a number'}, got {text!r}"
+            else:
+                if lo < value < hi or value == lo and left == "[" or value == hi and right == "]":
+                    got = getattr(cli.build_parser().parse_args(argv), action.dest)
+                    assert type(got) is parse and got == value, argv
+                    continue
+                message = f"{flag} must {rule}, got {value!r}"
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.splitlines()[-1] == f"rnp {command}: error: argument {flag}: {message}"
+
+
 class TestPump:
     def test_table_output(self, capsys):
         code, out, _ = run_cli(capsys, ["pump", "--n-b", "2", "--n-p", "1", "--f", "0.9"])
@@ -244,7 +307,7 @@ class TestPump:
             cli.main(["pump", flag, "65"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"rnp pump: error: argument {flag}: {flag} must lie in [0, 64], got 65"
+            f"rnp pump: error: argument {flag}: {flag} must be an integer in [0, 64], got 65"
         )
 
     def test_standard_scheme(self, capsys):
@@ -266,7 +329,7 @@ class TestPump:
             cli.main(["pump", "--standard-steps", "129"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "rnp pump: error: argument --standard-steps: --standard-steps must lie in [0, 128], got 129"
+            "rnp pump: error: argument --standard-steps: --standard-steps must be an integer in [0, 128], got 129"
         )
 
     @pytest.mark.parametrize(
@@ -363,18 +426,35 @@ class TestPlan:
     @pytest.mark.parametrize(
         "flags,err",
         [
-            # The flag parsers accept both; the timing model needs C >= 1
-            # and a finite optical time (tau = 1e308 overflows it).
-            (["--cavity-c", "0.5"], "purcell_c must be >= 1, got 0.5"),
-            (["--tau", "1e308"], "t_init must be positive and finite, got inf"),
+            # The flag parsers accept each; the timing model needs a finite
+            # optical time (tau = 1e308 overflows it).
+            (["--tau", "1e308"], "t_init must lie in (0, inf), got inf"),
             # ln(1 - eta) is 0 for eta <= 2**-54.
             (["--eta", "1e-17"], "eta must exceed 2**-54, where 1 - eta rounds to 1, got 1e-17"),
             # tau = 1e307 leaves t_init finite but overflows the pair time.
-            (["--tau", "1e307"], "t_ent must be positive and finite, got inf"),
+            (["--tau", "1e307"], "t_ent must lie in (0, inf), got inf"),
+            # --p-m also feeds ErrorParams, which takes 0 (measure does).
+            (["--p-m", "0"], "p_meas must lie in (0, 1), got 0.0"),
         ],
     )
     def test_timing_domain_exits_3(self, capsys, flags, err):
         assert run_cli(capsys, ["plan", *flags]) == (3, "", f"invalid parameter: {err}\n")
+
+    @pytest.mark.parametrize(
+        "flag,text,err",
+        [
+            ("--cavity-c", "0.5", "--cavity-c must lie in [1, inf), got 0.5"),
+            ("--eta", "0", "--eta must lie in (0, 1), got 0.0"),
+            ("--eta", "1", "--eta must lie in (0, 1), got 1.0"),
+        ],
+    )
+    def test_timing_ranges_exit_2_at_the_flag(self, capsys, flag, text, err):
+        # The flags take their ranges from timing.RANGES, so these stop at
+        # the flag, before PhysicalTimings.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plan", flag, text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"rnp plan: error: argument {flag}: {err}"
 
     def test_p_cnot_raw_is_clamped_to_one(self, capsys):
         # (1 - F) + 2 p_L + 2 p_M = 0.1 + 0.002 + 0.9 = 1.002 before the clamp.
@@ -682,11 +762,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flag,text,rule",
         [
-            ("--trials", "0", "must lie in [1, 4294967296]"),
-            ("--trials", "-3", "must lie in [1, 4294967296]"),
-            ("--trials", "4294967297", "must lie in [1, 4294967296]"),
-            ("--seed", "-1", "must lie in [0, 18446744073709551615]"),
-            ("--seed", "18446744073709551616", "must lie in [0, 18446744073709551615]"),
+            ("--trials", "0", "must be an integer in [1, 4294967296]"),
+            ("--trials", "-3", "must be an integer in [1, 4294967296]"),
+            ("--trials", "4294967297", "must be an integer in [1, 4294967296]"),
+            ("--seed", "-1", "must be an integer in [0, 18446744073709551615]"),
+            ("--seed", "18446744073709551616", "must be an integer in [0, 18446744073709551615]"),
         ],
     )
     def test_trials_and_seed_outside_the_philox_words_exit_2(self, capsys, flag, text, rule):

@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnp import PhysicalTimings, ValidationError, memory_check
-from rnp.model import _check_positive
 
 # The predecessor of PhysicalTimings' derivation, kept as a reference: two
-# formula helpers, a forwarding builder, and the bundle it filled in.
+# formula helpers, a forwarding builder, the bundle it filled in, and the
+# positive-time check the bundle called.
+
+
+def _check_positive(name: str, value: float) -> float:
+    if isinstance(value, (str, bytes, bool)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def reference_optical_times(p_meas: float, eta: float, tau: float, purcell_c: float) -> tuple[float, float]:
@@ -231,33 +240,40 @@ class TestPhysicalTimings:
         assert (t.t_init, t.t_meas, t.t_ent) == (ref.t_init, ref.t_meas, ref.t_ent)
 
     @pytest.mark.parametrize(
-        "inputs",
+        "inputs,message",
         [
-            dict(purcell_c=0.5),
-            dict(purcell_c=math.inf),
-            dict(tau=1e308),  # t_init overflows
-            dict(tau=1e307),  # t_ent overflows
-            dict(eta=1e-17),
-            dict(eta=1.0),
-            dict(eta=0.0),
-            dict(eta=math.nan),
-            dict(p_meas=0.0),
-            dict(p_meas=1.0),
-            dict(purcell_c=1e308, tau=1e-300),  # t_init underflows to 0
-            dict(eta=0.0, p_meas=1.0, purcell_c=0.5),  # eta is checked first
-            dict(p_meas=1.0, purcell_c=0.5, tau=-1.0),
-            dict(tau=1e308, t_local=-1.0),  # t_init before t_local
-            dict(t_local=-1.0, tau=1e307),  # t_local before t_ent
-            dict(t_local=math.inf),
-            dict(t_mem=0.0),
+            (dict(purcell_c=0.5), "purcell_c must lie in [1, inf), got 0.5"),
+            (dict(purcell_c=math.inf), "purcell_c must lie in [1, inf), got inf"),
+            (dict(tau=1e308), "t_init must lie in (0, inf), got inf"),  # t_init overflows
+            (dict(tau=1e307), "t_ent must lie in (0, inf), got inf"),  # t_ent overflows
+            (dict(eta=1e-17), "eta must exceed 2**-54, where 1 - eta rounds to 1, got 1e-17"),
+            (dict(eta=1.0), "eta must lie in (0, 1), got 1.0"),
+            (dict(eta=0.0), "eta must lie in (0, 1), got 0.0"),
+            (dict(eta=math.nan), "eta must lie in (0, 1), got nan"),
+            (dict(p_meas=0.0), "p_meas must lie in (0, 1), got 0.0"),
+            (dict(p_meas=1.0), "p_meas must lie in (0, 1), got 1.0"),
+            # t_init underflows to 0
+            (dict(purcell_c=1e308, tau=1e-300), "t_init must lie in (0, inf), got 0.0"),
+            # eta is checked first
+            (dict(eta=0.0, p_meas=1.0, purcell_c=0.5), "eta must lie in (0, 1), got 0.0"),
+            (dict(p_meas=1.0, purcell_c=0.5, tau=-1.0), "p_meas must lie in (0, 1), got 1.0"),
+            # t_init before t_local
+            (dict(tau=1e308, t_local=-1.0), "t_init must lie in (0, inf), got inf"),
+            # t_local before t_ent
+            (dict(t_local=-1.0, tau=1e307), "t_local must lie in (0, inf), got -1.0"),
+            (dict(t_local=math.inf), "t_local must lie in (0, inf), got inf"),
+            (dict(t_mem=0.0), "t_mem must lie in (0, inf), got 0.0"),
         ],
     )
-    def test_rejects_what_the_reference_rejects_with_its_message(self, inputs):
+    def test_rejects_what_the_reference_rejects_with_its_message(self, inputs, message):
+        # The messages are model._check_real's; the reference rejects the
+        # same inputs and names the same input first.
         with pytest.raises(ValidationError) as ref:
             reference_build_timings(**{**HEADLINE, **inputs})
         with pytest.raises(ValidationError) as new:
             timings(**inputs)
-        assert str(new.value) == str(ref.value)
+        assert str(new.value) == message
+        assert str(new.value).split()[0] == str(ref.value).split()[0]
 
     @pytest.mark.parametrize("field", ["p_meas", "eta", "tau", "purcell_c", "t_local", "t_mem"])
     @pytest.mark.parametrize("bad", ["0.5", True, False])
@@ -275,7 +291,7 @@ class TestPhysicalTimings:
 
     @pytest.mark.parametrize("tau", [0.0, -1e-9, math.inf, math.nan])
     def test_bad_tau_message_names_finiteness(self, tau):
-        # The one message that changed: a bad tau is now reported like every
-        # other time input, "positive and finite".
-        with pytest.raises(ValidationError, match=r"^tau must be positive and finite, got "):
+        # A bad tau is reported like every other time input, with its open
+        # range, so inf and nan are outside it too.
+        with pytest.raises(ValidationError, match=rf"^tau must lie in \(0, inf\), got {tau!r}$"):
             timings(tau=tau)
